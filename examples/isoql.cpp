@@ -19,7 +19,7 @@
 //   .save <path>         write the federation as a catalog file
 //   .schema              print the global schema
 //   .goids               print the GOid mapping tables
-//   .trace               print the last run's execution trace
+//   .trace               the last run's per-phase span tree
 //   .gantt               ASCII timeline of the last run (Fig. 8, live)
 //   .help                this text
 //   .quit                leave
@@ -32,9 +32,9 @@
 #include "isomer/core/strategy.hpp"
 #include "isomer/federation/isomerism.hpp"
 #include "isomer/io/catalog.hpp"
+#include "isomer/obs/trace_export.hpp"
 #include "isomer/query/parser.hpp"
 #include "isomer/query/printer.hpp"
-#include "isomer/sim/trace_export.hpp"
 #include "isomer/schema/integrator.hpp"
 #include "isomer/workload/paper_example.hpp"
 
@@ -94,8 +94,10 @@ struct Shell {
   std::optional<StrategyReport> last_report;
 
   void run_query(const GlobalQuery& query) {
+    StrategyOptions options;
+    options.record_trace = true;  // for .trace and .gantt
     const StrategyReport report =
-        execute_strategy(strategy, federation, query);
+        execute_strategy(strategy, federation, query, options);
     std::cout << report.result;
     std::cout << report.result.certain_count() << " certain, "
               << report.result.maybe_count() << " maybe  ["
@@ -191,12 +193,12 @@ void Shell::dispatch(const std::string& line) {
     std::cout << federation.goids();
   } else if (command == ".trace") {
     if (last_report)
-      std::cout << last_report->trace;
+      std::cout << render_phase_tree(last_report->trace);
     else
       std::cout << "no query yet\n";
   } else if (command == ".gantt") {
     if (last_report)
-      std::cout << to_gantt(last_report->trace);
+      std::cout << obs::to_gantt(last_report->trace);
     else
       std::cout << "no query yet\n";
   } else if (command == ".strategy") {

@@ -54,10 +54,13 @@ int main() {
   std::cout << "\n";
 
   std::cout << "=== Figures 7/8: strategy execution ===\n";
+  StrategyOptions options;
+  options.record_trace = true;  // the Fig. 8 phase orders read the trace
   for (const StrategyKind kind : kPaperStrategies) {
-    const StrategyReport report = execute_strategy(kind, federation, query);
+    const StrategyReport report =
+        execute_strategy(kind, federation, query, options);
     std::cout << "--- " << to_string(kind) << " (phases:";
-    for (const Phase phase : report.trace.phase_order())
+    for (const Phase phase : obs::phase_order(report.trace))
       std::cout << " " << to_string(phase);
     std::cout << ") ---\n" << report.result;
     std::cout << "response " << to_milliseconds(report.response_ns)

@@ -128,9 +128,9 @@ void launch_ca(ExecEnv& env,
                                                 env.query(),
                                                 env.unavailable(),
                                                 view.get());
-                         env.record_fault_event(kGlobalSite, "fault.degrade",
-                                                env.sim().now(),
-                                                env.sim().now());
+                         env.record_marker(kGlobalSite, Phase::Fault,
+                                           "fault.degrade", env.sim().now(),
+                                           env.sim().now());
                        }
                        SpanCounts counts;
                        counts.objects_in =

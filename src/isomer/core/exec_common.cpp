@@ -71,7 +71,8 @@ std::string ExecEnv::site_name(SiteIndex site) const {
 std::shared_ptr<obs::PhaseSpan> ExecEnv::open_span(
     std::string site, const std::string& step, Phase phase, SimTime begin,
     const AccessMeter& work, const SpanCounts& counts) const {
-  if (options_.trace_session == nullptr) return nullptr;
+  if (!options_.record_trace && options_.trace_session == nullptr)
+    return nullptr;
   auto span = std::make_shared<obs::PhaseSpan>();
   span->strategy = span_strategy_;
   span->query = span_query_;
@@ -87,10 +88,19 @@ std::shared_ptr<obs::PhaseSpan> ExecEnv::open_span(
   return span;
 }
 
-void ExecEnv::close_span(const std::shared_ptr<obs::PhaseSpan>& span) const {
+void ExecEnv::close_span(const std::shared_ptr<obs::PhaseSpan>& span) {
   if (span == nullptr) return;
   span->end_ns = sim_->now();
-  options_.trace_session->record(std::move(*span));
+  emit(std::move(*span));
+}
+
+void ExecEnv::emit(obs::PhaseSpan span) {
+  if (options_.trace_session == nullptr) {
+    trace_.record(std::move(span));
+    return;
+  }
+  if (options_.record_trace) trace_.record(span);
+  options_.trace_session->record(std::move(span));
 }
 
 void ExecEnv::charge(SiteIndex site, const AccessMeter& meter, Phase phase,
@@ -102,19 +112,14 @@ void ExecEnv::charge(SiteIndex site, const AccessMeter& meter, Phase phase,
   const SimTime cpu = options_.costs.cpu_time(meter);
   auto span = open_span(site_name(site), step, phase, begin, meter, counts);
   SiteNode& node = cluster_->site(site);
-  node.disk().use(options_.costs.disk_time(bytes), [this, site, cpu, phase,
-                                                    step = std::move(step),
-                                                    begin, span,
-                                                    done = std::move(done)]() mutable {
-    cluster_->site(site).cpu().use(cpu, [this, site, phase,
-                                         step = std::move(step), begin, span,
-                                         done = std::move(done)]() {
-      if (options_.record_trace)
-        trace_.record(site_name(site), step, phase, begin, sim_->now());
-      close_span(span);
-      done();
-    });
-  });
+  node.disk().use(options_.costs.disk_time(bytes),
+                  [this, site, cpu, span, done = std::move(done)]() mutable {
+                    cluster_->site(site).cpu().use(
+                        cpu, [this, span, done = std::move(done)]() {
+                          close_span(span);
+                          done();
+                        });
+                  });
 }
 
 void ExecEnv::charge_cpu(SiteIndex site, std::uint64_t comparisons,
@@ -126,15 +131,11 @@ void ExecEnv::charge_cpu(SiteIndex site, std::uint64_t comparisons,
   const SimTime begin = sim_->now();
   auto span =
       open_span(site_name(site), step, phase, begin, meter, SpanCounts{});
-  cluster_->site(site).cpu().use(
-      options_.costs.cpu_time(comparisons),
-      [this, site, phase, step = std::move(step), begin, span,
-       done = std::move(done)]() {
-        if (options_.record_trace)
-          trace_.record(site_name(site), step, phase, begin, sim_->now());
-        close_span(span);
-        done();
-      });
+  cluster_->site(site).cpu().use(options_.costs.cpu_time(comparisons),
+                                 [this, span, done = std::move(done)]() {
+                                   close_span(span);
+                                   done();
+                                 });
 }
 
 void ExecEnv::transfer_traced(SiteIndex from, SiteIndex to, Bytes bytes,
@@ -150,12 +151,7 @@ void ExecEnv::transfer_traced(SiteIndex from, SiteIndex to, Bytes bytes,
     span->messages = 1;
   }
   cluster_->transfer(from, to, bytes,
-                     [this, from, to, step = std::move(step), begin, span,
-                      arrived = std::move(arrived)]() {
-                       if (options_.record_trace)
-                         trace_.record(site_name(from) + "->" + site_name(to),
-                                       step, Phase::Transfer, begin,
-                                       sim_->now());
+                     [this, span, arrived = std::move(arrived)]() {
                        close_span(span);
                        arrived();
                      });
@@ -249,7 +245,7 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
       const SimTime spike = plan.spike_ns;
       arrive = [this, to, step, spike, inner = std::move(arrive)]() mutable {
         const SimTime at = sim_->now();
-        record_fault_event(to, "fault.spike " + step, at, at + spike);
+        record_marker(to, Phase::Fault, "fault.spike " + step, at, at + spike);
         sim_->schedule_after(spike, std::move(inner));
       };
     }
@@ -265,7 +261,7 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
   if (attempt < retry.max_retries) {
     ++retries_;
     const SimTime resend = deadline + retry.backoff(attempt);
-    record_fault_event(from, "fault.retry " + step, begin, resend);
+    record_marker(from, Phase::Fault, "fault.retry " + step, begin, resend);
     sim_->schedule_at(
         resend, [this, from, to, bytes, step = std::move(step), attempt,
                  delivered = std::move(delivered),
@@ -277,7 +273,7 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
   }
 
   ++failed_messages_;
-  record_fault_event(from, "fault.giveup " + step, begin, deadline);
+  record_marker(from, Phase::Fault, "fault.giveup " + step, begin, deadline);
   // Blame the site the plan says is down; for pure message loss suspect the
   // component endpoint (the global site is never declared dead).
   const SiteIndex suspect =
@@ -295,63 +291,14 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
   });
 }
 
-void ExecEnv::record_fault_event(SiteIndex site, const std::string& step,
-                                 SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Fault, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Fault, begin,
+void ExecEnv::record_marker(SiteIndex site, Phase phase,
+                            const std::string& step, SimTime begin,
+                            SimTime end) {
+  if (auto span = open_span(site_name(site), step, phase, begin,
                             AccessMeter{}, SpanCounts{});
       span != nullptr) {
     span->end_ns = end;
-    options_.trace_session->record(std::move(*span));
-  }
-}
-
-void ExecEnv::record_plan_event(SiteIndex site, const std::string& step,
-                                SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Plan, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Plan, begin,
-                            AccessMeter{}, SpanCounts{});
-      span != nullptr) {
-    span->end_ns = end;
-    options_.trace_session->record(std::move(*span));
-  }
-}
-
-void ExecEnv::record_serve_event(SiteIndex site, const std::string& step,
-                                 SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Serve, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Serve, begin,
-                            AccessMeter{}, SpanCounts{});
-      span != nullptr) {
-    span->end_ns = end;
-    options_.trace_session->record(std::move(*span));
-  }
-}
-
-void ExecEnv::record_cert_event(SiteIndex site, const std::string& step,
-                                SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Cert, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Cert, begin,
-                            AccessMeter{}, SpanCounts{});
-      span != nullptr) {
-    span->end_ns = end;
-    options_.trace_session->record(std::move(*span));
-  }
-}
-
-void ExecEnv::record_impute_event(SiteIndex site, const std::string& step,
-                                  SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Impute, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Impute, begin,
-                            AccessMeter{}, SpanCounts{});
-      span != nullptr) {
-    span->end_ns = end;
-    options_.trace_session->record(std::move(*span));
+    emit(std::move(*span));
   }
 }
 

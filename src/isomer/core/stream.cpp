@@ -44,9 +44,9 @@ StreamReport run_query_stream(const Federation& federation,
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const StreamQuery& entry = stream[i];
     StrategyOptions per_query = options;
-    per_query.record_trace = false;  // per-query traces interleave; skip
-    // Phase spans do interleave cleanly: every span carries its query's
-    // stream index, so one shared session captures the whole schedule.
+    per_query.record_trace = false;  // no StrategyReport is built per query
+    // The caller's session captures the whole schedule: every span carries
+    // its query's stream index.
     envs.push_back(std::make_unique<detail::ExecEnv>(
         federation, entry.query, per_query, sim, cluster));
     detail::ExecEnv* env = envs.back().get();

@@ -23,7 +23,7 @@ namespace isomer::obs {
 /// stable JSONL encoding are documented in docs/TRACING.md (format
 /// "isomer-trace-v1"); additions must stay backward-compatible.
 struct PhaseSpan {
-  std::string strategy;  ///< "CA", "BL", "PL", "BLS", "PLS"
+  std::string strategy;  ///< "CA", "BL", "PL", "BLS", "PLS", "IM", "HY"
   /// Query sequence number within the session: 0 for single-query runs,
   /// the stream index under run_query_stream.
   std::uint64_t query = 0;

@@ -1,11 +1,12 @@
 // TraceSession — per-execution span recorder.
 //
 // A session collects the PhaseSpans of one or more strategy executions (a
-// single execute_strategy call, or every query of a run_query_stream). It is
-// attached through StrategyOptions::trace_session; a null pointer there is
-// the disabled state, so the instrumented hot paths pay exactly one branch
-// and never touch an AccessMeter when tracing is off (asserted by
-// bench_micro and test_obs).
+// single execute_strategy call, or every query of a run_query_stream). The
+// executors deliver each span to up to two sessions: the caller's, attached
+// through StrategyOptions::trace_session, and the report's own
+// (StrategyReport::trace, filled when StrategyOptions::record_trace is set).
+// With neither set the instrumented hot paths pay exactly one branch and
+// never touch an AccessMeter (asserted by bench_micro and test_obs).
 //
 // Sessions are NOT thread-safe: the discrete-event simulator is single
 // threaded, so one session per concurrently running trial is the rule (the
@@ -14,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,5 +47,19 @@ class TraceSession {
  private:
   std::vector<PhaseSpan> spans_;
 };
+
+/// The O/I/P phases in order of first start time, duplicates collapsed —
+/// the strategy's executing flow in Fig. 8's terms. Spans of every other
+/// phase are ignored. Optionally restricted to one site.
+[[nodiscard]] std::vector<Phase> phase_order(
+    const TraceSession& session,
+    std::optional<std::string_view> site = std::nullopt);
+
+/// First start time of a phase (nullopt when the phase never ran).
+[[nodiscard]] std::optional<SimTime> first_start(const TraceSession& session,
+                                                 Phase phase);
+/// Last end time of a phase.
+[[nodiscard]] std::optional<SimTime> last_end(const TraceSession& session,
+                                              Phase phase);
 
 }  // namespace isomer::obs

@@ -168,8 +168,8 @@ struct ServeReport {
 
 struct ServeOptions {
   /// Per-execution options (costs, topology, signatures, faults, batch...).
-  /// `record_trace` is forced off per query — interleaved per-step traces
-  /// of concurrent queries are not meaningful — and `trace_session` is
+  /// `record_trace` is forced off per query — serve() builds no
+  /// StrategyReport to carry the spans — and `trace_session` is
   /// superseded by `sessions` below. When a fault plan is attached, each
   /// submission runs under its own plan copy whose seed is
   /// derive_stream(plan.seed, submission index), so concurrent queries

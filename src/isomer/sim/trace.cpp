@@ -1,7 +1,5 @@
 #include "isomer/sim/trace.hpp"
 
-#include <algorithm>
-
 namespace isomer {
 
 std::string_view to_string(Phase phase) noexcept {
@@ -28,59 +26,6 @@ std::string_view to_string(Phase phase) noexcept {
       return "impute";
   }
   return "setup";
-}
-
-void ExecutionTrace::record(std::string site, std::string step, Phase phase,
-                            SimTime start, SimTime end) {
-  events_.push_back(
-      TraceEvent{std::move(site), std::move(step), phase, start, end});
-}
-
-std::vector<Phase> ExecutionTrace::phase_order(
-    std::optional<std::string> site) const {
-  std::vector<TraceEvent> sorted;
-  for (const TraceEvent& event : events_) {
-    if (event.phase == Phase::Setup || event.phase == Phase::Transfer ||
-        event.phase == Phase::Fault || event.phase == Phase::Plan ||
-        event.phase == Phase::Cert || event.phase == Phase::Serve ||
-        event.phase == Phase::Impute)
-      continue;
-    if (site && event.site != *site) continue;
-    sorted.push_back(event);
-  }
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.start < b.start;
-                   });
-  std::vector<Phase> order;
-  for (const TraceEvent& event : sorted)
-    if (std::find(order.begin(), order.end(), event.phase) == order.end())
-      order.push_back(event.phase);
-  return order;
-}
-
-std::optional<SimTime> ExecutionTrace::first_start(Phase phase) const {
-  std::optional<SimTime> best;
-  for (const TraceEvent& event : events_)
-    if (event.phase == phase && (!best || event.start < *best))
-      best = event.start;
-  return best;
-}
-
-std::optional<SimTime> ExecutionTrace::last_end(Phase phase) const {
-  std::optional<SimTime> best;
-  for (const TraceEvent& event : events_)
-    if (event.phase == phase && (!best || event.end > *best))
-      best = event.end;
-  return best;
-}
-
-std::ostream& operator<<(std::ostream& os, const ExecutionTrace& trace) {
-  for (const TraceEvent& event : trace.events())
-    os << "[" << to_milliseconds(event.start) << "ms - "
-       << to_milliseconds(event.end) << "ms] " << event.site << " "
-       << to_string(event.phase) << " " << event.step << "\n";
-  return os;
 }
 
 }  // namespace isomer

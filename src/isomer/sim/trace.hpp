@@ -1,19 +1,15 @@
-// Execution traces (paper Fig. 8).
+// Execution phases (paper Fig. 8).
 //
 // Each strategy tags its simulated steps with the paper's phase letters:
 // O (assistant lookup / checking), I (integration / certification),
 // P (predicate evaluation), plus Transfer and Setup for communication and
-// bookkeeping steps. Recorded traces let tests assert the characteristic
-// phase orders — CA: O -> I -> P, BL: P -> O -> I, PL: O -> P -> I — straight
-// from the executed schedule.
+// bookkeeping steps. The executors record every step as an obs::PhaseSpan
+// (obs/span.hpp); obs::phase_order over those spans lets tests assert the
+// characteristic phase orders — CA: O -> I -> P, BL: P -> O -> I,
+// PL: O -> P -> I — straight from the executed schedule.
 #pragma once
 
-#include <optional>
-#include <ostream>
-#include <string>
-#include <vector>
-
-#include "isomer/sim/simulator.hpp"
+#include <string_view>
 
 namespace isomer {
 
@@ -29,41 +25,5 @@ enum class Phase : unsigned char {
 };
 
 [[nodiscard]] std::string_view to_string(Phase phase) noexcept;
-
-struct TraceEvent {
-  std::string site;  ///< "global" or "DB<k>"
-  std::string step;  ///< e.g. "CA_G2 outerjoin"
-  Phase phase = Phase::Setup;
-  SimTime start = 0;
-  SimTime end = 0;
-};
-
-class ExecutionTrace {
- public:
-  void record(std::string site, std::string step, Phase phase, SimTime start,
-              SimTime end);
-
-  [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
-    return events_;
-  }
-
-  /// The O/I/P phases in order of first start time, duplicates collapsed —
-  /// the strategy's executing flow in Fig. 8's terms. Setup/Transfer events
-  /// are ignored. Optionally restricted to one site.
-  [[nodiscard]] std::vector<Phase> phase_order(
-      std::optional<std::string> site = std::nullopt) const;
-
-  /// First start time of a phase (nullopt when the phase never ran).
-  [[nodiscard]] std::optional<SimTime> first_start(Phase phase) const;
-  /// Last end time of a phase.
-  [[nodiscard]] std::optional<SimTime> last_end(Phase phase) const;
-
-  void clear() { events_.clear(); }
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
-std::ostream& operator<<(std::ostream& os, const ExecutionTrace& trace);
 
 }  // namespace isomer

@@ -7,16 +7,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "isomer/analytic/impute.hpp"
 #include "isomer/core/explain.hpp"
+#include "isomer/core/operators.hpp"
 #include "isomer/core/stream.hpp"
 #include "isomer/core/strategy.hpp"
+#include "isomer/fault/fault_plan.hpp"
 #include "isomer/obs/jsonl.hpp"
 #include "isomer/obs/metrics.hpp"
 #include "isomer/obs/trace_session.hpp"
+#include "isomer/schema/translate.hpp"
 #include "isomer/workload/paper_example.hpp"
+#include "isomer/workload/synth.hpp"
+
+#include "report_digest.hpp"
 
 namespace isomer {
 namespace {
@@ -313,14 +321,6 @@ TEST_F(ObsExecution, SpanMetersSumToTheReportsWork) {
   EXPECT_EQ(bytes, report.bytes_transferred);
 }
 
-SimTime first_start(const TraceSession& session, Phase phase) {
-  SimTime first = -1;
-  for (const PhaseSpan& span : session.spans())
-    if (span.phase == phase && (first < 0 || span.start_ns < first))
-      first = span.start_ns;
-  return first;
-}
-
 TEST_F(ObsExecution, PhaseOrderMatchesThePaper) {
   // CA is O -> I -> P; BL is P -> O -> I. The spans' simulated start times
   // must show exactly that reordering.
@@ -328,24 +328,24 @@ TEST_F(ObsExecution, PhaseOrderMatchesThePaper) {
   StrategyOptions ca_options;
   ca_options.trace_session = &ca_session;
   (void)execute_strategy(StrategyKind::CA, fed(), query_, ca_options);
-  const SimTime ca_o = first_start(ca_session, Phase::O);
-  const SimTime ca_p = first_start(ca_session, Phase::P);
-  ASSERT_GE(ca_o, 0);
-  ASSERT_GE(ca_p, 0);
-  EXPECT_LT(ca_o, ca_p) << "CA ships (O) before it evaluates (P)";
+  const std::optional<SimTime> ca_o = obs::first_start(ca_session, Phase::O);
+  const std::optional<SimTime> ca_p = obs::first_start(ca_session, Phase::P);
+  ASSERT_TRUE(ca_o.has_value());
+  ASSERT_TRUE(ca_p.has_value());
+  EXPECT_LT(*ca_o, *ca_p) << "CA ships (O) before it evaluates (P)";
 
   TraceSession bl_session;
   StrategyOptions bl_options;
   bl_options.trace_session = &bl_session;
   (void)execute_strategy(StrategyKind::BL, fed(), query_, bl_options);
-  const SimTime bl_p = first_start(bl_session, Phase::P);
-  const SimTime bl_o = first_start(bl_session, Phase::O);
-  const SimTime bl_i = first_start(bl_session, Phase::I);
-  ASSERT_GE(bl_p, 0);
-  ASSERT_GE(bl_o, 0);
-  ASSERT_GE(bl_i, 0);
-  EXPECT_LT(bl_p, bl_o) << "BL evaluates locally (P) before lookups (O)";
-  EXPECT_LT(bl_o, bl_i) << "BL integrates (I) last";
+  const std::optional<SimTime> bl_p = obs::first_start(bl_session, Phase::P);
+  const std::optional<SimTime> bl_o = obs::first_start(bl_session, Phase::O);
+  const std::optional<SimTime> bl_i = obs::first_start(bl_session, Phase::I);
+  ASSERT_TRUE(bl_p.has_value());
+  ASSERT_TRUE(bl_o.has_value());
+  ASSERT_TRUE(bl_i.has_value());
+  EXPECT_LT(*bl_p, *bl_o) << "BL evaluates locally (P) before lookups (O)";
+  EXPECT_LT(*bl_o, *bl_i) << "BL integrates (I) last";
 }
 
 TEST_F(ObsExecution, StreamSpansCarryTheirQueryIndex) {
@@ -390,6 +390,105 @@ TEST_F(ObsExecution, RenderPhaseTreeShowsPhasesAndCounts) {
   EXPECT_LT(tree.find("phase P"), tree.find("phase O")) << tree;
   EXPECT_LT(tree.find("phase O"), tree.find("phase I")) << tree;
 }
+
+// ---- Span sinks: the report's trace and the caller's session --------
+
+/// Every StrategyReport field except `trace`.
+std::string report_fields(const StrategyReport& report) {
+  return testing::report_digest_line("", report) +
+         " cert=" + std::to_string(report.cert_hits) + "/" +
+         std::to_string(report.cert_misses) +
+         " impute=" + std::to_string(report.imputed_atoms) + "/" +
+         std::to_string(report.impute_declined);
+}
+
+/// A hybrid plan over the query's home sites: Central and Localized
+/// alternate in local_query_sites order.
+ExecPlan alternating_plan(const SynthFederation& synth) {
+  ExecPlan plan;
+  plan.hybrid = true;
+  for (const DbId db :
+       local_query_sites(synth.federation->schema(), synth.query)) {
+    SiteAssignment site;
+    site.db = db;
+    site.path =
+        plan.sites.size() % 2 == 0 ? SitePath::Central : SitePath::Localized;
+    plan.sites.push_back(site);
+  }
+  return plan;
+}
+
+class SpanSinkParity : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SpanSinkParity, ReportTraceEqualsTheSessionsSpans) {
+  Rng rng(derive_stream(0x5EA1'5155ULL, GetParam()));
+  ParamConfig config;
+  config.n_db = 2 + static_cast<std::size_t>(rng.uniform_int(0, 2));
+  config.n_objects = {20, 40};
+  const SynthFederation synth = materialize_sample(draw_sample(config, rng));
+  const ImputeModel model = ImputeModel::build(*synth.federation);
+
+  fault::FaultPlan faults;
+  faults.seed = derive_stream(0xFA17'5155ULL, GetParam());
+  if (GetParam() % 2 == 0)
+    faults.outages.push_back(fault::Outage{DbId{2}, 0, fault::kForever});
+  faults.drop_probability = 0.05;
+  faults.spike_probability = 0.05;
+
+  struct Run {
+    const char* label;
+    ExecPlan plan;
+  };
+  std::vector<Run> runs = {{"CA", ExecPlan::pure(StrategyKind::CA)},
+                           {"BL", ExecPlan::pure(StrategyKind::BL)},
+                           {"PL", ExecPlan::pure(StrategyKind::PL)},
+                           {"IM", ExecPlan::pure(StrategyKind::IM)},
+                           {"HY", alternating_plan(synth)}};
+  for (const char* mode : {"plain", "batch", "faults"}) {
+    StrategyOptions base;
+    base.impute = &model;
+    base.impute_threshold = 1.0;
+    base.batch.enabled = std::string(mode) == "batch";
+    if (std::string(mode) == "faults") {
+      base.faults = &faults;
+      base.retry.max_retries = 2;
+      base.degrade = fault::DegradeMode::Partial;
+    }
+    for (const Run& run : runs) {
+      const std::string where = std::string(run.label) + " " + mode +
+                                " seed " + std::to_string(GetParam());
+      const auto execute = [&](bool record_trace, TraceSession* session) {
+        StrategyOptions options = base;
+        options.record_trace = record_trace;
+        options.trace_session = session;
+        return execute_plan(*synth.federation, synth.query, run.plan, options)
+            .report;
+      };
+      const StrategyReport none = execute(false, nullptr);
+      EXPECT_TRUE(none.trace.empty()) << where;
+
+      const StrategyReport report_only = execute(true, nullptr);
+      TraceSession session;
+      const StrategyReport session_only = execute(false, &session);
+      EXPECT_TRUE(session_only.trace.empty()) << where;
+      TraceSession both_session;
+      const StrategyReport both = execute(true, &both_session);
+
+      ASSERT_FALSE(session.empty()) << where;
+      EXPECT_EQ(both.trace.spans(), both_session.spans()) << where;
+      EXPECT_EQ(both.trace.spans(), session.spans()) << where;
+      EXPECT_EQ(report_only.trace.spans(), session.spans()) << where;
+
+      const std::string fields = report_fields(none);
+      EXPECT_EQ(report_fields(report_only), fields) << where;
+      EXPECT_EQ(report_fields(session_only), fields) << where;
+      EXPECT_EQ(report_fields(both), fields) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SpanSinkParity,
+                         ::testing::Range<std::uint64_t>(1, 21));
 
 }  // namespace
 }  // namespace isomer

@@ -214,24 +214,30 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PaperExampleStrategies,
 
 // --- Figure 8: executing flows (phase orders).
 
+StrategyOptions traced() {
+  StrategyOptions options;
+  options.record_trace = true;
+  return options;
+}
+
 TEST_F(PaperExample, CaPhaseOrderIsOIP) {
   const StrategyReport report =
-      execute_strategy(StrategyKind::CA, fed(), query_);
-  EXPECT_EQ(report.trace.phase_order(),
+      execute_strategy(StrategyKind::CA, fed(), query_, traced());
+  EXPECT_EQ(obs::phase_order(report.trace),
             (std::vector<Phase>{Phase::O, Phase::I, Phase::P}));
 }
 
 TEST_F(PaperExample, BlPhaseOrderIsPOI) {
   const StrategyReport report =
-      execute_strategy(StrategyKind::BL, fed(), query_);
-  EXPECT_EQ(report.trace.phase_order(),
+      execute_strategy(StrategyKind::BL, fed(), query_, traced());
+  EXPECT_EQ(obs::phase_order(report.trace),
             (std::vector<Phase>{Phase::P, Phase::O, Phase::I}));
 }
 
 TEST_F(PaperExample, PlPhaseOrderIsOPI) {
   const StrategyReport report =
-      execute_strategy(StrategyKind::PL, fed(), query_);
-  EXPECT_EQ(report.trace.phase_order(),
+      execute_strategy(StrategyKind::PL, fed(), query_, traced());
+  EXPECT_EQ(obs::phase_order(report.trace),
             (std::vector<Phase>{Phase::O, Phase::P, Phase::I}));
 }
 

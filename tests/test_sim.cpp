@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
+#include "isomer/obs/trace_session.hpp"
 #include "isomer/sim/barrier.hpp"
 #include "isomer/sim/cluster.hpp"
-#include "isomer/sim/trace.hpp"
 
 namespace isomer {
 namespace {
@@ -298,26 +300,36 @@ TEST(Cluster, SiteNaming) {
 
 // --- trace ---
 
+void record(obs::TraceSession& session, std::string site, std::string step,
+            Phase phase, SimTime start, SimTime end) {
+  obs::PhaseSpan span;
+  span.site = std::move(site);
+  span.step = std::move(step);
+  span.phase = phase;
+  span.start_ns = start;
+  span.end_ns = end;
+  session.record(std::move(span));
+}
+
 TEST(Trace, PhaseOrderCollapsesByFirstStart) {
-  ExecutionTrace trace;
-  trace.record("DB1", "eval", Phase::P, 10, 20);
-  trace.record("DB1", "lookup", Phase::O, 20, 25);
-  trace.record("DB2", "eval", Phase::P, 12, 22);
-  trace.record("global", "certify", Phase::I, 30, 35);
-  trace.record("x", "ship", Phase::Transfer, 0, 5);  // ignored
-  EXPECT_EQ(trace.phase_order(),
+  obs::TraceSession trace;
+  record(trace, "DB1", "eval", Phase::P, 10, 20);
+  record(trace, "DB1", "lookup", Phase::O, 20, 25);
+  record(trace, "DB2", "eval", Phase::P, 12, 22);
+  record(trace, "global", "certify", Phase::I, 30, 35);
+  record(trace, "x", "ship", Phase::Transfer, 0, 5);  // ignored
+  EXPECT_EQ(obs::phase_order(trace),
             (std::vector<Phase>{Phase::P, Phase::O, Phase::I}));
-  EXPECT_EQ(trace.phase_order(std::string("DB2")),
-            (std::vector<Phase>{Phase::P}));
+  EXPECT_EQ(obs::phase_order(trace, "DB2"), (std::vector<Phase>{Phase::P}));
 }
 
 TEST(Trace, FirstStartLastEnd) {
-  ExecutionTrace trace;
-  trace.record("a", "s1", Phase::O, 5, 9);
-  trace.record("b", "s2", Phase::O, 3, 7);
-  EXPECT_EQ(trace.first_start(Phase::O), 3);
-  EXPECT_EQ(trace.last_end(Phase::O), 9);
-  EXPECT_EQ(trace.first_start(Phase::I), std::nullopt);
+  obs::TraceSession trace;
+  record(trace, "a", "s1", Phase::O, 5, 9);
+  record(trace, "b", "s2", Phase::O, 3, 7);
+  EXPECT_EQ(obs::first_start(trace, Phase::O), 3);
+  EXPECT_EQ(obs::last_end(trace, Phase::O), 9);
+  EXPECT_EQ(obs::first_start(trace, Phase::I), std::nullopt);
 }
 
 TEST(Trace, TimeConversions) {

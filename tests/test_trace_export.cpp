@@ -1,19 +1,47 @@
 // Trace export: Chrome trace-event JSON and the ASCII Gantt chart.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
+#include "isomer/analytic/impute.hpp"
 #include "isomer/core/strategy.hpp"
-#include "isomer/sim/trace_export.hpp"
+#include "isomer/obs/trace_export.hpp"
 #include "isomer/workload/paper_example.hpp"
+#include "isomer/workload/synth.hpp"
 
 namespace isomer {
 namespace {
 
-ExecutionTrace sample_trace() {
-  ExecutionTrace trace;
-  trace.record("DB1", "eval", Phase::P, 0, 10);
-  trace.record("DB1->global", "rows", Phase::Transfer, 10, 14);
-  trace.record("global", "certify \"q\"", Phase::I, 14, 20);
+using obs::TraceSession;
+using obs::gantt_glyph;
+using obs::to_chrome_json;
+using obs::to_gantt;
+
+void record(TraceSession& session, std::string site, std::string step,
+            Phase phase, SimTime start, SimTime end) {
+  obs::PhaseSpan span;
+  span.site = std::move(site);
+  span.step = std::move(step);
+  span.phase = phase;
+  span.start_ns = start;
+  span.end_ns = end;
+  session.record(std::move(span));
+}
+
+TraceSession sample_trace() {
+  TraceSession trace;
+  record(trace, "DB1", "eval", Phase::P, 0, 10);
+  record(trace, "DB1->global", "rows", Phase::Transfer, 10, 14);
+  record(trace, "global", "certify \"q\"", Phase::I, 14, 20);
   return trace;
+}
+
+StrategyOptions traced() {
+  StrategyOptions options;
+  options.record_trace = true;
+  return options;
 }
 
 TEST(TraceExport, ChromeJsonShape) {
@@ -49,26 +77,57 @@ TEST(TraceExport, GanttRowsPerSite) {
 }
 
 TEST(TraceExport, GanttEmptyTrace) {
-  EXPECT_EQ(to_gantt(ExecutionTrace{}), "(empty trace)\n");
+  EXPECT_EQ(to_gantt(TraceSession{}), "(empty trace)\n");
+}
+
+TEST(TraceExport, EveryPhaseHasItsOwnGlyph) {
+  std::set<char> seen;
+  for (int p = 0; p <= static_cast<int>(Phase::Impute); ++p) {
+    const auto phase = static_cast<Phase>(p);
+    const char glyph = gantt_glyph(phase);
+    EXPECT_NE(glyph, '?') << to_string(phase);
+    EXPECT_TRUE(seen.insert(glyph).second)
+        << to_string(phase) << " reuses '" << glyph << "'";
+  }
 }
 
 TEST(TraceExport, RealStrategyTraceExports) {
   const paper::UniversityExample example = paper::make_university();
   for (const StrategyKind kind : kPaperStrategies) {
     const StrategyReport report =
-        execute_strategy(kind, *example.federation, paper::q1());
+        execute_strategy(kind, *example.federation, paper::q1(), traced());
     const std::string json = to_chrome_json(report.trace);
     EXPECT_GT(json.size(), 100u) << to_string(kind);
     const std::string chart = to_gantt(report.trace);
     EXPECT_NE(chart.find("global"), std::string::npos) << to_string(kind);
   }
+
+  // IM below thresh=1.0 answers check atoms from the population model; its
+  // Phase::Impute markers render with their own glyph.
+  ParamConfig config;
+  config.n_db = 3;
+  config.n_objects = {150, 300};
+  config.forced_missing_rate = 0.3;
+  Rng rng(derive_stream(0xCA11'B8A7ULL, 1));
+  const SynthFederation synth = materialize_sample(draw_sample(config, rng));
+  const ImputeModel model = ImputeModel::build(*synth.federation);
+  StrategyOptions options = traced();
+  options.impute = &model;
+  options.impute_threshold = 0.5;
+  const StrategyReport im = execute_strategy(
+      StrategyKind::IM, *synth.federation, synth.query, options);
+  ASSERT_GT(im.imputed_atoms, 0u);
+  EXPECT_GT(to_chrome_json(im.trace).size(), 100u);
+  EXPECT_NE(to_gantt(im.trace).find(gantt_glyph(Phase::Impute)),
+            std::string::npos)
+      << to_gantt(im.trace);
 }
 
 TEST(TraceExport, GanttOrderReflectsPhaseOrder) {
   // In a BL trace the P glyphs at component sites precede the global I.
   const paper::UniversityExample example = paper::make_university();
-  const StrategyReport report =
-      execute_strategy(StrategyKind::BL, *example.federation, paper::q1());
+  const StrategyReport report = execute_strategy(
+      StrategyKind::BL, *example.federation, paper::q1(), traced());
   const std::string chart = to_gantt(report.trace, 60);
   const std::size_t first_p = chart.find('P');
   ASSERT_NE(first_p, std::string::npos);
