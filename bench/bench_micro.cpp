@@ -5,6 +5,8 @@
 // time — useful when sizing full-scale (--paper) harness runs.
 #include <benchmark/benchmark.h>
 
+#include <unordered_map>
+
 #include "isomer/analytic/impute.hpp"
 #include "isomer/core/cert_cache.hpp"
 #include "isomer/core/local_exec.hpp"
@@ -13,9 +15,6 @@
 #include "isomer/federation/materializer.hpp"
 #include "isomer/query/kernels.hpp"
 #include "isomer/obs/trace_session.hpp"
-#include "isomer/query/eval.hpp"
-#include "isomer/query/eval_cache.hpp"
-#include "isomer/schema/translate.hpp"
 #include "isomer/sim/barrier.hpp"
 #include "isomer/workload/synth.hpp"
 
@@ -57,35 +56,73 @@ void BM_LocalQueryEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalQueryEvaluation)->Arg(1000)->Arg(5000);
 
-// Predicate evaluation over a whole root extent, with and without the
-// EvalCache (query/eval_cache.hpp). Arg 0 selects cached (1) or uncached
-// (0); the cache is rebuilt per iteration, so the reported time includes
-// its warm-up — the realistic "one local execution" usage. The two variants
-// perform identical comparisons (asserted in test_eval_cache).
-void BM_PredicateEval(benchmark::State& state) {
-  const SynthFederation synth = make_synth(static_cast<int>(state.range(1)));
-  const ComponentDatabase& db = synth.federation->db(DbId{1});
-  const auto local =
-      derive_local_query(synth.federation->schema(), synth.query, DbId{1});
-  const auto& objects = db.extent(local->root_class).objects();
-  const bool use_cache = state.range(0) != 0;
-  for (auto _ : state) {
-    EvalCache cache(db);
-    AccessMeter meter;
-    for (const Object& obj : objects)
-      for (const Predicate& pred : local->local_predicates)
-        benchmark::DoNotOptimize(eval_predicate(
-            db, obj, pred, &meter, use_cache ? &cache : nullptr));
-    benchmark::DoNotOptimize(meter.comparisons);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(objects.size()));
+/// n objects spread over two extents of one database, plus a deterministically
+/// shuffled probe order, so the fetch loops below are cache-miss-bound like
+/// navigation over a large federation.
+ComponentDatabase make_fetch_db(std::int64_t n, std::vector<LOid>& probe_order) {
+  ComponentSchema schema(DbId{1}, "DB1");
+  schema.add_class("A").add_attribute("x", PrimType::Int);
+  schema.add_class("B").add_attribute("x", PrimType::Int);
+  ComponentDatabase db(std::move(schema));
+  db.reserve("A", static_cast<std::size_t>(n / 2 + 1));
+  db.reserve("B", static_cast<std::size_t>(n / 2 + 1));
+  probe_order.clear();
+  probe_order.reserve(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i)
+    probe_order.push_back(db.insert(i % 2 == 0 ? "A" : "B", {{"x", i}}));
+  Rng rng(5);
+  for (std::size_t i = probe_order.size(); i > 1; --i)
+    std::swap(probe_order[i - 1], probe_order[rng.index(i)]);
+  return db;
 }
-BENCHMARK(BM_PredicateEval)
-    ->Args({0, 1000})
-    ->Args({1, 1000})
-    ->Args({0, 5000})
-    ->Args({1, 5000});
+
+/// Point lookups through the database's dense slot table: a bounds check
+/// plus one array index per LOid.
+void BM_ObjectFetch(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  std::vector<LOid> order;
+  const ComponentDatabase db = make_fetch_db(n, order);
+  for (auto _ : state) {
+    std::uint64_t sum = 0;
+    for (const LOid id : order) sum += db.fetch(id)->id().local;
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ObjectFetch)->Arg(1'000'000);
+
+/// The addressing the slot table replaced, kept as a reference: an
+/// LOid -> extent hash map, then the extent's own LOid -> row hash map.
+void BM_ObjectFetchReferenceMap(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  std::vector<LOid> order;
+  const ComponentDatabase db = make_fetch_db(n, order);
+  struct RefExtent {
+    const std::vector<Object>* objects;
+    std::unordered_map<LOid, std::size_t> by_id;
+  };
+  RefExtent extents[2] = {{&db.extent("A").objects(), {}},
+                          {&db.extent("B").objects(), {}}};
+  std::unordered_map<LOid, RefExtent*> directory;
+  directory.reserve(order.size());
+  for (RefExtent& ext : extents) {
+    ext.by_id.reserve(ext.objects->size());
+    for (std::size_t row = 0; row < ext.objects->size(); ++row) {
+      ext.by_id.emplace((*ext.objects)[row].id(), row);
+      directory.emplace((*ext.objects)[row].id(), &ext);
+    }
+  }
+  for (auto _ : state) {
+    std::uint64_t sum = 0;
+    for (const LOid id : order) {
+      const RefExtent& ext = *directory.find(id)->second;
+      sum += (*ext.objects)[ext.by_id.find(id)->second].id().local;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ObjectFetchReferenceMap)->Arg(1'000'000);
 
 void BM_GoidProbe(benchmark::State& state) {
   const SynthFederation synth = make_synth(2000);

@@ -76,15 +76,18 @@ DbProfile profile_database(const Federation& federation,
   std::size_t assistant_probes = 0, assistants = 0;
   AccessMeter nav_meter;
   FetchCache cache;  // shared across the sample, like one local execution
+  std::vector<BoundPath> walks;
+  walks.reserve(query.predicates.size());
+  for (const Predicate& pred : query.predicates)
+    walks.emplace_back(federation, db, range, pred.path);
   for (const std::size_t pick : picks) {
     const Object& obj = objects[pick];
     std::vector<Truth> truths;
     std::vector<UnsolvedItem> items;
     truths.reserve(query.predicates.size());
     for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      const LocalPredOutcome outcome = eval_global_predicate_at(
-          federation, db, obj, range, query.predicates[p], 0, &nav_meter,
-          &cache);
+      const LocalPredOutcome outcome = walks[p].eval_predicate(
+          obj, query.predicates[p], &nav_meter, &cache);
       truths.push_back(outcome.truth);
       if (is_unknown(outcome.truth) && outcome.step > 0) {
         const auto entity = federation.goids().goid_of(outcome.holder);

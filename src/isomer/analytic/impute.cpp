@@ -133,11 +133,11 @@ ImputeModel ImputeModel::build(const Federation& federation) {
       est[a].complex_ref =
           std::holds_alternative<ComplexType>(def.attribute(a).type);
 
-    // Per-constituent resolution: the extent plus the global-attribute ->
+    // Per-constituent resolution: the database plus the global-attribute ->
     // local-slot map (nullopt when that constituent holds the attribute as
     // schema-level missing).
     struct View {
-      const Extent* extent;
+      const ComponentDatabase* db;
       std::vector<std::optional<std::size_t>> slot;
     };
     std::vector<View> views;
@@ -145,12 +145,13 @@ ImputeModel ImputeModel::build(const Federation& federation) {
     for (std::size_t ci = 0; ci < gc.constituents().size(); ++ci) {
       const Constituent& cons = gc.constituents()[ci];
       View view;
-      view.extent = &federation.db(cons.db).extent(cons.local_class);
+      view.db = &federation.db(cons.db);
+      const ClassDef& local_class = view.db->extent(cons.local_class).cls();
       view.slot.resize(attrs);
       for (std::size_t a = 0; a < attrs; ++a) {
         const std::optional<std::string>& local = gc.local_attr(ci, a);
         if (local.has_value())
-          view.slot[a] = view.extent->cls().find_attribute(*local);
+          view.slot[a] = local_class.find_attribute(*local);
       }
       views.push_back(std::move(view));
     }
@@ -177,7 +178,7 @@ ImputeModel ImputeModel::build(const Federation& federation) {
           const std::optional<std::size_t> ci = gc.constituent_in(isomer.db);
           if (!ci.has_value()) continue;
           const View& view = views[*ci];
-          const Object* obj = view.extent->find(isomer);
+          const Object* obj = view.db->fetch(isomer);
           if (obj == nullptr) continue;
           if (count_scan) ++model.stats_.objects_scanned;
           for (std::size_t a = 0; a < attrs; ++a) {
@@ -433,11 +434,12 @@ ImputeOracle::Decision ImputeModel::decide(const Federation& federation,
       const std::optional<std::string>& local_name =
           gc->local_attr(*ci, *first->covariate);
       if (local_name.has_value()) {
-        const Extent& extent = federation.db(home).extent(
-            gc->constituents()[*ci].local_class);
+        const ComponentDatabase& database = federation.db(home);
         const std::optional<std::size_t> slot =
-            extent.cls().find_attribute(*local_name);
-        const Object* obj = slot.has_value() ? extent.find(*local) : nullptr;
+            database.extent(gc->constituents()[*ci].local_class)
+                .cls()
+                .find_attribute(*local_name);
+        const Object* obj = slot.has_value() ? database.fetch(*local) : nullptr;
         if (obj != nullptr && !obj->value(*slot).is_null()) {
           const std::size_t b =
               bucket_of(first->covariate_split, obj->value(*slot));

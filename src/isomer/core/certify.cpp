@@ -1,8 +1,8 @@
 #include "isomer/core/certify.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "isomer/common/error.hpp"
 
@@ -16,45 +16,82 @@ QueryResult certify(
     const std::map<std::pair<GOid, std::size_t>, double>* imputed) {
   if (stats != nullptr)
     stats->verdicts = static_cast<std::uint64_t>(verdicts.size());
-  // Databases that ran a local query (homes of the range class).
-  std::set<DbId> homes;
-  for (const LocalExecution& local : locals) homes.insert(local.db);
+  // Databases that ran a local query (homes of the range class), ascending.
+  std::vector<DbId> homes;
+  homes.reserve(locals.size());
+  for (const LocalExecution& local : locals) homes.push_back(local.db);
+  std::sort(homes.begin(), homes.end());
+  homes.erase(std::unique(homes.begin(), homes.end()), homes.end());
+  const auto is_home = [&](DbId db) {
+    return std::binary_search(homes.begin(), homes.end(), db);
+  };
 
-  // Entity -> its rows (in ascending DbId order because locals arrive per
-  // database and we visit them in DbId order below).
+  // Orders the (key, value) pairs below by key alone.
+  const auto by_key = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+
+  // (entity, row) pairs grouped by entity, each group's rows in ascending
+  // DbId order: filled database by database, then stably sorted by entity.
   std::vector<const LocalExecution*> ordered;
   ordered.reserve(locals.size());
   for (const LocalExecution& local : locals) ordered.push_back(&local);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const LocalExecution* a, const LocalExecution* b) {
-              return a->db < b->db;
-            });
-
-  std::map<GOid, std::vector<const LocalRow*>> rows_by_entity;
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const LocalExecution* a, const LocalExecution* b) {
+                     return a->db < b->db;
+                   });
+  std::vector<std::pair<GOid, const LocalRow*>> entity_rows;
   for (const LocalExecution* local : ordered)
     for (const LocalRow& row : local->rows)
-      rows_by_entity[row.entity].push_back(&row);
-
-  // Flat ascending view of the homes for the batched presence probe below.
-  const std::vector<DbId> home_list(homes.begin(), homes.end());
+      entity_rows.emplace_back(row.entity, &row);
+  std::stable_sort(entity_rows.begin(), entity_rows.end(), by_key);
 
   // Verdict index: (item, predicate) -> Kleene-or of all assistant verdicts,
-  // with False dominating (any violating assistant eliminates).
-  std::map<std::pair<GOid, std::size_t>, Truth> verdict_index;
+  // with False dominating (any violating assistant eliminates). The fold is
+  // order-independent, so sort the verdicts by atom and fold each run.
+  using Atom = std::pair<GOid, std::size_t>;
+  std::vector<std::pair<Atom, Truth>> verdict_index;
+  verdict_index.reserve(verdicts.size());
   for (const CheckVerdict& verdict : verdicts) {
     if (meter != nullptr) ++meter->comparisons;
-    auto [it, inserted] = verdict_index.try_emplace(
-        std::pair{verdict.item, verdict.predicate}, verdict.truth);
-    if (!inserted) {
-      if (is_false(verdict.truth) || is_false(it->second))
-        it->second = Truth::False;
-      else
-        it->second = it->second || verdict.truth;
-    }
+    verdict_index.emplace_back(Atom{verdict.item, verdict.predicate},
+                               verdict.truth);
   }
+  std::sort(verdict_index.begin(), verdict_index.end(), by_key);
+  {
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < verdict_index.size(); ++out) {
+      auto folded = verdict_index[i++];
+      for (; i < verdict_index.size() &&
+             verdict_index[i].first == folded.first;
+           ++i) {
+        const Truth t = verdict_index[i].second;
+        folded.second = is_false(t) || is_false(folded.second)
+                            ? Truth::False
+                            : folded.second || t;
+      }
+      verdict_index[out] = folded;
+    }
+    verdict_index.resize(out);
+  }
+  const auto find_verdict = [&](const Atom& atom) -> const Truth* {
+    const auto it =
+        std::lower_bound(verdict_index.begin(), verdict_index.end(),
+                         std::pair{atom, Truth::Unknown}, by_key);
+    return it != verdict_index.end() && it->first == atom ? &it->second
+                                                          : nullptr;
+  };
 
   QueryResult result;
-  for (const auto& [entity, rows] : rows_by_entity) {
+  std::vector<const LocalRow*> rows;
+  std::vector<Atom> dischargeable;
+  std::vector<Atom> imputed_used;
+  for (std::size_t next = 0; next < entity_rows.size();) {
+    const GOid entity = entity_rows[next].first;
+    rows.clear();
+    for (; next < entity_rows.size() && entity_rows[next].first == entity;
+         ++next)
+      rows.push_back(entity_rows[next].second);
     if (stats != nullptr) ++stats->entities;
     // Row-presence evidence: every home database holding an isomeric root
     // object must have shipped a row, else the object was eliminated locally
@@ -63,7 +100,7 @@ QueryResult certify(
     // One merge pass over the entity's isomers, charging one table probe
     // per home — meter-identical to probing loid_in home by home.
     const std::size_t expected_rows =
-        federation.goids().present_in(entity, home_list, meter);
+        federation.goids().present_in(entity, homes, meter);
     if (rows.size() != expected_rows) eliminated = true;
 
     // Pool the evidence per predicate across rows and check verdicts:
@@ -88,8 +125,8 @@ QueryResult certify(
       std::vector<Truth> truths(query.predicates.size(), Truth::Unknown);
       std::vector<Condition> per_pred;
       per_pred.reserve(query.predicates.size());
-      std::set<std::pair<GOid, std::size_t>> dischargeable;
-      std::set<std::pair<GOid, std::size_t>> imputed_used;
+      dischargeable.clear();
+      imputed_used.clear();
       for (std::size_t p = 0; p < query.predicates.size(); ++p) {
         bool any_true = false, any_false = false;
         std::vector<Condition> pooled;
@@ -109,21 +146,25 @@ QueryResult certify(
             pooled.push_back(Condition::constant(status.truth));
           }
           if (is_unknown(status.truth) && status.step > 0) {
-            dischargeable.insert(std::pair{status.item, p});
-            const auto it = verdict_index.find(std::pair{status.item, p});
-            if (it != verdict_index.end()) {
+            const Atom atom{status.item, p};
+            dischargeable.push_back(atom);
+            if (const Truth* verdict = find_verdict(atom)) {
               if (meter != nullptr) ++meter->comparisons;
-              if (is_false(it->second)) any_false = true;
-              if (is_true(it->second)) any_true = true;
+              if (is_false(*verdict)) any_false = true;
+              if (is_true(*verdict)) any_true = true;
               // Probabilistic certification (the IM strategy): a consulted
               // verdict that was synthesized from the population model
               // discounts the row's confidence — once per distinct atom,
-              // however many rows of the entity it advised.
+              // however many rows of the entity it advised, in the order
+              // the atoms are first consulted.
               if (imputed != nullptr) {
-                const auto conf = imputed->find(std::pair{status.item, p});
+                const auto conf = imputed->find(atom);
                 if (conf != imputed->end() &&
-                    imputed_used.insert(std::pair{status.item, p}).second)
+                    std::find(imputed_used.begin(), imputed_used.end(),
+                              atom) == imputed_used.end()) {
+                  imputed_used.push_back(atom);
                   confidence *= conf->second;
+                }
               }
             }
           }
@@ -135,11 +176,13 @@ QueryResult certify(
       }
       overall = query.combine(truths);
       condition = combine_conditions(query, std::move(per_pred));
-      for (const auto& [item, p] : dischargeable) {
-        const auto it = verdict_index.find(std::pair{item, p});
-        if (it != verdict_index.end())
-          condition = condition.substitute(item, p, it->second);
-      }
+      std::sort(dischargeable.begin(), dischargeable.end());
+      dischargeable.erase(
+          std::unique(dischargeable.begin(), dischargeable.end()),
+          dischargeable.end());
+      for (const Atom& atom : dischargeable)
+        if (const Truth* verdict = find_verdict(atom))
+          condition = condition.substitute(atom.first, atom.second, *verdict);
       condition = condition.simplify();
       ensures(condition.truth() == overall,
               "row condition must agree with the flat certification pool");
@@ -187,14 +230,17 @@ QueryResult certify(
         std::vector<Truth>(query.predicates.size(), Truth::Unknown));
     for (const GOid entity :
          federation.goids().entities_of(query.range_class)) {
-      if (rows_by_entity.find(entity) != rows_by_entity.end()) continue;
+      if (std::binary_search(
+              entity_rows.begin(), entity_rows.end(),
+              std::pair<GOid, const LocalRow*>{entity, nullptr}, by_key))
+        continue;
       if (meter != nullptr) ++meter->table_probes;
       bool any_live_home = false;
       bool any_dead = false;
       for (const LOid& isomer : federation.goids().isomers_of(entity)) {
         if (unavailable->count(isomer.db) != 0)
           any_dead = true;
-        else if (homes.count(isomer.db) != 0)
+        else if (is_home(isomer.db))
           any_live_home = true;
       }
       // A live home knew the entity and eliminated it locally; only a fully

@@ -1,6 +1,9 @@
 #include "isomer/core/checks.hpp"
 
 #include <algorithm>
+#include <map>
+#include <string_view>
+#include <tuple>
 
 #include "isomer/common/error.hpp"
 
@@ -45,19 +48,23 @@ std::vector<UnsolvedItem> unsolved_items_of_all_roots(
   // later (one buffer pool; the executors subtract this meter from the
   // evaluation meter), but no predicate comparisons are charged here: those
   // belong to phase P.
+  //
+  // A single-step predicate can only be unsolved at the root (step 0), which
+  // this collection ignores, and its walk touches no nested object and
+  // charges only comparisons — zeroed below. Skipping it is meter- and
+  // item-identical to evaluating it.
+  std::vector<std::pair<std::size_t, BoundPath>> walks;
+  for (std::size_t p = 0; p < query.predicates.size(); ++p)
+    if (query.predicates[p].path.length() > 1)
+      walks.emplace_back(
+          p, BoundPath(federation, home, range, query.predicates[p].path));
   std::vector<UnsolvedItem> items;
   AccessMeter local;
   FetchCache cache;
   for (const Object& obj : database.scan(root_class, &local, &cache)) {
-    for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      // A single-step predicate can only be unsolved at the root (step 0),
-      // which this collection ignores, and its walk touches no nested
-      // object and charges only comparisons — zeroed below. Skipping it is
-      // meter- and item-identical to evaluating it.
-      if (query.predicates[p].path.length() == 1) continue;
-      const LocalPredOutcome outcome = eval_global_predicate_at(
-          federation, home, obj, range, query.predicates[p], 0, &local,
-          &cache);
+    for (const auto& [p, walk] : walks) {
+      const LocalPredOutcome outcome =
+          walk.eval_predicate(obj, query.predicates[p], &local, &cache);
       if (is_unknown(outcome.truth) && outcome.step > 0) {
         const auto entity = federation.goids().goid_of(outcome.holder, &local);
         ensures(entity.has_value(), "every constituent object is GOid-mapped");
@@ -78,32 +85,44 @@ CheckPlan plan_checks(const Federation& federation, const GlobalQuery& query,
   const GlobalSchema& schema = federation.schema();
   const GoidTable& goids = federation.goids();
 
+  // Whether a database's schema can evaluate the first step of a suffix
+  // depends only on (item class, predicate, step, database); items arrive
+  // sorted by entity, so translate each combination once per call.
+  std::map<std::tuple<std::string_view, std::size_t, std::size_t, DbId>, bool>
+      can_start;
   CheckPlan plan;
   for (const UnsolvedItem& item : items) {
     const Predicate& pred = query.predicates[item.predicate];
     expects(item.step < pred.path.length(),
             "unsolved step beyond predicate path");
-    const PathExpr suffix = pred.path.suffix(item.step);
     // Signatures index (attribute = value) tokens, so screening applies to
     // single-attribute equality suffixes only.
-    const bool screenable =
-        signatures != nullptr && suffix.length() == 1 && pred.op == CompOp::Eq;
+    const bool screenable = signatures != nullptr &&
+                            item.step + 1 == pred.path.length() &&
+                            pred.op == CompOp::Eq;
     const std::string& item_class = goids.class_of(item.item);
     ++plan.meter.table_probes;  // the mapping-table lookup for this item
     bool advised = false;
     for (const LOid& isomer : goids.isomers_of(item.item)) {
       if (isomer.db == home) continue;
       ++plan.meter.table_probes;  // examine one candidate assistant
-      const PathTranslation translation =
-          schema.translate_path(item_class, suffix, isomer.db);
       // The assistant is useful when its database can evaluate at least the
       // first step of the suffix: full evaluation may still hit deeper
       // missing data there, which cascades (CheckOutcome::follow_up). An
       // assistant whose schema misses the very first attribute cannot make
       // progress at all and is skipped.
-      if (!translation.complete() && *translation.missing_at == 0) continue;
+      const auto [memo, fresh] = can_start.try_emplace(
+          std::tuple{std::string_view(item_class), item.predicate, item.step,
+                     isomer.db},
+          false);
+      if (fresh) {
+        const PathTranslation translation = schema.translate_path(
+            item_class, pred.path.suffix(item.step), isomer.db);
+        memo->second = translation.complete() || *translation.missing_at != 0;
+      }
+      if (!memo->second) continue;
       if (screenable &&
-          signatures->screen(isomer, suffix.step(0), pred.literal,
+          signatures->screen(isomer, pred.path.step(item.step), pred.literal,
                              &plan.meter) ==
               SignatureIndex::Screen::CannotSatisfy) {
         plan.local_verdicts.push_back(
@@ -131,6 +150,9 @@ CheckOutcome run_checks(const Federation& federation, const GlobalQuery& query,
   outcome.db = target;
   outcome.verdicts.reserve(tasks.size());
   std::vector<UnsolvedItem> cascaded;
+  // Suffix bindings per (item class, predicate, step), shared by the batch.
+  std::map<std::tuple<const GlobalClass*, std::size_t, std::size_t>, BoundPath>
+      suffixes;
   // Each listed LOid is retrieved individually (paper BL_C3: "retrieve the
   // objects for the LOid list of the assistant objects") — check batches are
   // random point lookups, not buffered scans, so no FetchCache here.
@@ -143,9 +165,15 @@ CheckOutcome run_checks(const Federation& federation, const GlobalQuery& query,
                             " does not exist");
     const GlobalClass& item_class =
         federation.schema().cls(goids.class_of(task.item));
-    const LocalPredOutcome eval = eval_global_predicate_at(
-        federation, target, *assistant, item_class,
-        query.predicates[task.predicate], task.step, &outcome.meter);
+    const Predicate& pred = query.predicates[task.predicate];
+    expects(task.step < pred.path.length(), "start_step beyond predicate path");
+    const BoundPath& suffix =
+        suffixes
+            .try_emplace(std::tuple{&item_class, task.predicate, task.step},
+                         federation, target, item_class, pred.path, task.step)
+            .first->second;
+    const LocalPredOutcome eval =
+        suffix.eval_predicate(*assistant, pred, &outcome.meter);
     outcome.verdicts.push_back(
         CheckVerdict{task.origin, task.predicate, eval.truth});
 

@@ -39,19 +39,59 @@ const GlobalClass& global_domain(const Federation& federation,
   return federation.schema().cls(cplx->domain_class);
 }
 
-LocalPredOutcome eval_pred_from(const Federation& federation,
-                                const ComponentDatabase& database,
-                                const Object& obj, const GlobalClass& cls,
-                                const Predicate& pred, std::size_t step,
-                                AccessMeter* meter, FetchCache* cache) {
-  const auto index = local_attr_index(database, cls, pred.path.step(step));
-  if (!index)  // missing attribute: this object holds the missing data
+}  // namespace
+
+BoundPath::BoundPath(const Federation& federation, DbId db,
+                     const GlobalClass& root, const PathExpr& path,
+                     std::size_t start)
+    : federation_(&federation),
+      database_(&federation.db(db)),
+      start_(start),
+      length_(path.length() - start) {
+  expects(start <= path.length(), "binding starts beyond the path");
+  const GlobalClass* cls = &root;
+  for (std::size_t step = start; step < path.length(); ++step) {
+    const std::string& attr = path.step(step);
+    Step bound;
+    bound.cls = cls;
+    const auto column = local_attr_index(*database_, *cls, attr);
+    if (column) bound.column = *column;
+    const auto global_index = cls->def().find_attribute(attr);
+    if (global_index) {
+      const AttrDef& def = cls->def().attribute(*global_index);
+      bound.name = &def.name;
+      if (const auto* cplx = std::get_if<ComplexType>(&def.type))
+        bound.domain = federation.schema().find_class(cplx->domain_class);
+    }
+    steps_.push_back(bound);
+    if (!column || bound.domain == nullptr) break;  // the walk stops here
+    cls = bound.domain;
+  }
+}
+
+void BoundPath::check_continues(std::size_t i) const {
+  const Step& step = steps_[i];
+  if (step.domain == nullptr)  // cold path: name resolution raises the error
+    (void)global_domain(*federation_, *step.cls, *step.name);
+}
+
+LocalPredOutcome BoundPath::eval_predicate(const Object& root,
+                                           const Predicate& pred,
+                                           AccessMeter* meter,
+                                           FetchCache* cache) const {
+  return eval_from(root, pred, 0, meter, cache);
+}
+
+LocalPredOutcome BoundPath::eval_from(const Object& obj, const Predicate& pred,
+                                      std::size_t i, AccessMeter* meter,
+                                      FetchCache* cache) const {
+  const std::size_t step = start_ + i;
+  const Step& bound = steps_[i];
+  if (bound.column == kMissing)  // missing attribute: obj holds the gap
     return LocalPredOutcome{Truth::Unknown, obj.id(), step};
 
-  const Value& v = obj.value(*index);
-  const bool last = (step + 1 == pred.path.length());
-
-  if (last) {
+  const Value& v = obj.value(bound.column);
+  if (i + 1 == length_) {
     if (meter != nullptr) ++meter->comparisons;
     const Truth t = apply(pred.op, v, pred.literal);
     if (is_unknown(t)) return LocalPredOutcome{Truth::Unknown, obj.id(), step};
@@ -59,36 +99,63 @@ LocalPredOutcome eval_pred_from(const Federation& federation,
   }
 
   if (v.is_null()) return LocalPredOutcome{Truth::Unknown, obj.id(), step};
-
-  const GlobalClass& domain =
-      global_domain(federation, cls, pred.path.step(step));
+  check_continues(i);
 
   if (v.kind() == ValueKind::LocalRef) {
-    const Object* next = database.deref(v, meter, cache);
+    const Object* next = database_->deref(v, meter, cache);
     if (next == nullptr)
       return LocalPredOutcome{Truth::Unknown, obj.id(), step};
-    return eval_pred_from(federation, database, *next, domain, pred, step + 1,
-                          meter, cache);
+    return eval_from(*next, pred, i + 1, meter, cache);
   }
   if (v.kind() == ValueKind::LocalRefSet) {
     LocalPredOutcome acc{Truth::False, LOid{}, 0};
     for (const LOid member : v.as_local_ref_set()) {
-      const Object* next = database.fetch(member, meter, cache);
+      const Object* next = database_->fetch(member, meter, cache);
       const LocalPredOutcome branch =
-          next == nullptr
-              ? LocalPredOutcome{Truth::Unknown, obj.id(), step}
-              : eval_pred_from(federation, database, *next, domain, pred,
-                               step + 1, meter, cache);
+          next == nullptr ? LocalPredOutcome{Truth::Unknown, obj.id(), step}
+                          : eval_from(*next, pred, i + 1, meter, cache);
       if (is_true(branch.truth)) return branch;
       if (is_unknown(branch.truth) && !is_unknown(acc.truth)) acc = branch;
     }
     return acc;
   }
-  throw QueryError("local value for global step " + pred.path.step(step) +
+  throw QueryError("local value for global step " + *bound.name +
                    " is not a reference");
 }
 
-}  // namespace
+Value BoundPath::eval_target(const Object& root, AccessMeter* meter,
+                             FetchCache* cache) const {
+  return target_from(root, 0, meter, cache);
+}
+
+Value BoundPath::target_from(const Object& obj, std::size_t i,
+                             AccessMeter* meter, FetchCache* cache) const {
+  for (const Object* at = &obj; i < length_; ++i) {
+    const Step& bound = steps_[i];
+    if (bound.column == kMissing) return Value::null();
+    const Value& v = at->value(bound.column);
+    if (i + 1 == length_) return federation_->goids().globalize(v, meter);
+    if (v.is_null()) return Value::null();
+    check_continues(i);
+    if (v.kind() == ValueKind::LocalRef) {
+      at = database_->deref(v, meter, cache);
+      if (at == nullptr) return Value::null();
+      continue;
+    }
+    if (v.kind() == ValueKind::LocalRefSet) {
+      for (const LOid member : v.as_local_ref_set()) {
+        const Object* next = database_->fetch(member, meter, cache);
+        if (next == nullptr) continue;
+        Value rest = target_from(*next, i + 1, meter, cache);
+        if (!rest.is_null()) return rest;
+      }
+      return Value::null();
+    }
+    throw QueryError("local value for global step " + *bound.name +
+                     " is not a reference");
+  }
+  return Value::null();
+}
 
 LocalPredOutcome eval_global_predicate_at(const Federation& federation,
                                           DbId db, const Object& root,
@@ -99,56 +166,16 @@ LocalPredOutcome eval_global_predicate_at(const Federation& federation,
                                           FetchCache* cache) {
   expects(start_step < pred.path.length(),
           "start_step beyond predicate path");
-  // Rebase the predicate so the recursive walk sees a path starting at the
-  // item's class (suffix evaluation for assistant checks).
-  if (start_step == 0)
-    return eval_pred_from(federation, federation.db(db), root, root_class,
-                          pred, 0, meter, cache);
-  Predicate rebased{pred.path.suffix(start_step), pred.op, pred.literal};
-  LocalPredOutcome outcome =
-      eval_pred_from(federation, federation.db(db), root, root_class, rebased,
-                     0, meter, cache);
-  if (is_unknown(outcome.truth)) outcome.step += start_step;
-  return outcome;
+  return BoundPath(federation, db, root_class, pred.path, start_step)
+      .eval_predicate(root, pred, meter, cache);
 }
 
 Value eval_global_path(const Federation& federation, DbId db,
                        const Object& root, const GlobalClass& root_class,
                        const PathExpr& path, AccessMeter* meter,
                        FetchCache* cache) {
-  const ComponentDatabase& database = federation.db(db);
-  const Object* obj = &root;
-  const GlobalClass* cls = &root_class;
-  for (std::size_t step = 0; step < path.length(); ++step) {
-    const auto index = local_attr_index(database, *cls, path.step(step));
-    if (!index) return Value::null();
-    const Value& v = obj->value(*index);
-    const bool last = (step + 1 == path.length());
-    if (last) return federation.goids().globalize(v, meter);
-    if (v.is_null()) return Value::null();
-    const GlobalClass& domain =
-        global_domain(federation, *cls, path.step(step));
-    if (v.kind() == ValueKind::LocalRef) {
-      obj = database.deref(v, meter, cache);
-      if (obj == nullptr) return Value::null();
-      cls = &domain;
-      continue;
-    }
-    if (v.kind() == ValueKind::LocalRefSet) {
-      for (const LOid member : v.as_local_ref_set()) {
-        const Object* next = database.fetch(member, meter, cache);
-        if (next == nullptr) continue;
-        const Value rest =
-            eval_global_path(federation, db, *next, domain,
-                             path.suffix(step + 1), meter, cache);
-        if (!rest.is_null()) return rest;
-      }
-      return Value::null();
-    }
-    throw QueryError("local value for global step " + path.step(step) +
-                     " is not a reference");
-  }
-  return Value::null();
+  return BoundPath(federation, db, root_class, path)
+      .eval_target(root, meter, cache);
 }
 
 LocalExecution run_local_query(const Federation& federation,
@@ -249,6 +276,16 @@ LocalExecution run_local_query(const Federation& federation,
     }
   }
 
+  // Every predicate and target path resolved once for this database.
+  std::vector<BoundPath> bound_preds;
+  bound_preds.reserve(n_preds);
+  for (const Predicate& pred : query.predicates)
+    bound_preds.emplace_back(federation, db, range, pred.path);
+  std::vector<BoundPath> bound_targets;
+  bound_targets.reserve(query.targets.size());
+  for (const PathExpr& target : query.targets)
+    bound_targets.emplace_back(federation, db, range, target);
+
   // Per-candidate scratch, reused across iterations. RowEval's unsolved-site
   // fields are only read when truth is Unknown, and are always freshly
   // written in that case.
@@ -270,9 +307,8 @@ LocalExecution run_local_query(const Federation& federation,
     for (std::size_t p = 0; p < n_preds; ++p) {
       RowEval& e = evals[p];
       if (modes[p] == PredMode::Row) {
-        const LocalPredOutcome outcome = eval_global_predicate_at(
-            federation, db, obj, range, query.predicates[p], 0, &exec.meter,
-            &cache);
+        const LocalPredOutcome outcome = bound_preds[p].eval_predicate(
+            obj, query.predicates[p], &exec.meter, &cache);
         e.truth = outcome.truth;
         if (is_unknown(outcome.truth)) {
           const auto item_entity =
@@ -319,9 +355,8 @@ LocalExecution run_local_query(const Federation& federation,
     }
 
     row.targets.reserve(query.targets.size());
-    for (const PathExpr& target : query.targets)
-      row.targets.push_back(eval_global_path(federation, db, obj, range,
-                                             target, &exec.meter, &cache));
+    for (const BoundPath& target : bound_targets)
+      row.targets.push_back(target.eval_target(obj, &exec.meter, &cache));
 
     exec.rows.push_back(std::move(row));
   }

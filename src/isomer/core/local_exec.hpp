@@ -33,9 +33,68 @@ struct LocalPredOutcome {
   std::size_t step = 0;
 };
 
+/// A global path bound to one component database. Each step is resolved
+/// once — through the global schema's bindings — to the local column that
+/// implements it in the constituent there (or to "missing") and to the
+/// global class it leads to, so walking objects is integer indexing only.
+/// Bind once per (query, database) and reuse the binding for every object:
+/// outcomes, meter charges and errors are those of resolving every step by
+/// name per object. A binding owns everything it needs (it borrows only the
+/// federation), so the PathExpr it was built from may go away.
+class BoundPath {
+ public:
+  /// Binds steps [start, path.length()) of `path` for objects of global
+  /// class `root` stored in database `db`.
+  BoundPath(const Federation& federation, DbId db, const GlobalClass& root,
+            const PathExpr& path, std::size_t start = 0);
+
+  /// Evaluates `pred` (whose path this binding was built from) on `root`;
+  /// reported unsolved steps index the full predicate path.
+  [[nodiscard]] LocalPredOutcome eval_predicate(const Object& root,
+                                                const Predicate& pred,
+                                                AccessMeter* meter = nullptr,
+                                                FetchCache* cache =
+                                                    nullptr) const;
+
+  /// The value the path reaches from `root`, in *global* form (references
+  /// globalized), or null when the walk crosses missing data. Set-valued
+  /// steps take the first member whose continuation is non-null.
+  [[nodiscard]] Value eval_target(const Object& root,
+                                  AccessMeter* meter = nullptr,
+                                  FetchCache* cache = nullptr) const;
+
+ private:
+  static constexpr std::size_t kMissing = static_cast<std::size_t>(-1);
+
+  struct Step {
+    std::size_t column = kMissing;        ///< local attribute index
+    const GlobalClass* cls = nullptr;     ///< class of the objects here
+    const GlobalClass* domain = nullptr;  ///< class the step leads to
+    const std::string* name = nullptr;    ///< global attribute name
+  };
+
+  /// Throws, as name resolution does, when step `i` continues the path
+  /// past a primitive attribute.
+  void check_continues(std::size_t i) const;
+  LocalPredOutcome eval_from(const Object& obj, const Predicate& pred,
+                             std::size_t i, AccessMeter* meter,
+                             FetchCache* cache) const;
+  Value target_from(const Object& obj, std::size_t i, AccessMeter* meter,
+                    FetchCache* cache) const;
+
+  const Federation* federation_;
+  const ComponentDatabase* database_;
+  std::size_t start_;
+  std::size_t length_;  ///< steps to walk: path.length() - start
+  /// Bound steps; stops after the first missing one (the walk never gets
+  /// past it).
+  std::vector<Step> steps_;
+};
+
 /// Evaluates `pred` (global names), starting at `start_step`, on `root`
 /// whose class is a constituent of global class `root_class`, entirely
-/// within database `db`. Charges fetches/comparisons to `meter`.
+/// within database `db`. Charges fetches/comparisons to `meter`. Binds the
+/// path for this one call; loops over many objects bind a BoundPath once.
 [[nodiscard]] LocalPredOutcome eval_global_predicate_at(
     const Federation& federation, DbId db, const Object& root,
     const GlobalClass& root_class, const Predicate& pred,

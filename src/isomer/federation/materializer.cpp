@@ -13,31 +13,28 @@ const GlobalClass& MaterializedExtent::cls() const {
 }
 
 const MaterializedObject* MaterializedExtent::find(GOid id) const noexcept {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return nullptr;
-  return &objects_[it->second];
-}
-
-void MaterializedExtent::reserve(std::size_t n) {
-  objects_.reserve(n);
-  by_id_.reserve(n);
+  if (id.value() >= row_of_.size() || row_of_[id.value()] == kAbsent)
+    return nullptr;
+  return &objects_[row_of_[id.value()]];
 }
 
 void MaterializedExtent::insert(MaterializedObject obj) {
-  const auto [it, inserted] = by_id_.emplace(obj.id, objects_.size());
-  if (!inserted)
-    throw FederationError("duplicate GOid g" + std::to_string(obj.id.value()) +
+  const std::uint64_t id = obj.id.value();
+  if (id >= row_of_.size()) row_of_.resize(id + 1, kAbsent);
+  if (row_of_[id] != kAbsent)
+    throw FederationError("duplicate GOid g" + std::to_string(id) +
                           " in materialized extent of " + cls().name());
+  row_of_[id] = static_cast<std::uint32_t>(objects_.size());
   objects_.push_back(std::move(obj));
 }
 
 bool MaterializedView::has_extent(std::string_view global_class) const noexcept {
-  return extents_.find(std::string(global_class)) != extents_.end();
+  return extents_.find(global_class) != extents_.end();
 }
 
 const MaterializedExtent& MaterializedView::extent(
     std::string_view global_class) const {
-  const auto it = extents_.find(std::string(global_class));
+  const auto it = extents_.find(global_class);
   if (it == extents_.end())
     throw FederationError("no materialized extent for global class " +
                           std::string(global_class));
@@ -76,40 +73,58 @@ MaterializedView materialize(const Federation& federation,
   for (const std::string& class_name : classes) {
     const GlobalClass& cls = schema.cls(class_name);
     MaterializedExtent& extent = view.add_extent(cls);
+    const std::size_t attrs = cls.def().attribute_count();
+
+    // Which global attributes union their reference sets, and per
+    // constituent the local column implementing each global attribute
+    // (kMissing where the constituent holds it as missing). The federation
+    // validated every binding, so the columns exist.
+    constexpr std::size_t kMissing = static_cast<std::size_t>(-1);
+    std::vector<unsigned char> union_merge(attrs, 0);
+    for (std::size_t a = 0; a < attrs; ++a) {
+      const auto* cplx = std::get_if<ComplexType>(&cls.def().attribute(a).type);
+      union_merge[a] = policy == MergePolicy::UnionSets && cplx != nullptr &&
+                       cplx->multi_valued;
+    }
+    std::vector<const ComponentDatabase*> databases(cls.constituents().size());
+    std::vector<std::vector<std::size_t>> columns(cls.constituents().size());
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const Constituent& constituent = cls.constituents()[c];
+      databases[c] = &federation.db(constituent.db);
+      const ClassDef& local_class =
+          databases[c]->extent(constituent.local_class).cls();
+      columns[c].assign(attrs, kMissing);
+      for (std::size_t a = 0; a < attrs; ++a)
+        if (const auto& local_name = cls.local_attr(c, a)) {
+          const auto index = local_class.find_attribute(*local_name);
+          ensures(index.has_value(), "bound local attribute must exist");
+          columns[c][a] = *index;
+        }
+    }
 
     // The GOid table knows the class's entity count before the outerjoin
     // starts: every entity yields exactly one materialized object.
     const std::vector<GOid>& entities = goids.entities_of(class_name);
     extent.reserve(entities.size());
     for (const GOid entity : entities) {
-      MaterializedObject merged{entity,
-                                std::vector<Value>(cls.def().attribute_count())};
+      MaterializedObject merged{entity, std::vector<Value>(attrs)};
       // Isomers are kept in ascending DbId order; first non-null wins.
       for (const LOid& isomer : goids.isomers_of(entity)) {
         if (exclude != nullptr && exclude->count(isomer.db) != 0) continue;
-        const ComponentDatabase& db = federation.db(isomer.db);
-        const Object* obj = db.fetch(isomer, meter);
-        ensures(obj != nullptr, "GOid table validated at construction");
-        if (meter != nullptr) ++meter->comparisons;  // outerjoin GOid probe
-
         const auto constituent = cls.constituent_in(isomer.db);
         ensures(constituent.has_value(),
                 "isomer's database must hold a constituent");
-        const ClassDef& local_class = db.schema().cls(db.class_of(isomer));
-        for (std::size_t a = 0; a < cls.def().attribute_count(); ++a) {
-          const AttrDef& attr = cls.def().attribute(a);
-          const auto* cplx = std::get_if<ComplexType>(&attr.type);
-          const bool union_merge = policy == MergePolicy::UnionSets &&
-                                   cplx != nullptr && cplx->multi_valued;
-          if (!union_merge && !merged.values[a].is_null()) continue;
-          const auto& local_name = cls.local_attr(*constituent, a);
-          if (!local_name) continue;
-          const auto index = local_class.find_attribute(*local_name);
-          ensures(index.has_value(), "bound local attribute must exist");
-          const Value& raw = obj->value(*index);
+        const Object* obj = databases[*constituent]->fetch(isomer, meter);
+        ensures(obj != nullptr, "GOid table validated at construction");
+        if (meter != nullptr) ++meter->comparisons;  // outerjoin GOid probe
+        const std::vector<std::size_t>& column = columns[*constituent];
+        for (std::size_t a = 0; a < attrs; ++a) {
+          if (!union_merge[a] && !merged.values[a].is_null()) continue;
+          if (column[a] == kMissing) continue;
+          const Value& raw = obj->value(column[a]);
           if (raw.is_null()) continue;
           Value global_value = goids.globalize(raw, meter);
-          if (union_merge && !merged.values[a].is_null() &&
+          if (union_merge[a] && !merged.values[a].is_null() &&
               !global_value.is_null()) {
             // Union this isomer's reference set into the accumulated one.
             GlobalRefSet combined{merged.values[a].as_global_ref_set()};
@@ -121,7 +136,7 @@ MaterializedView materialize(const Federation& federation,
             merged.values[a] = Value(std::move(combined));
             continue;
           }
-          if (union_merge && global_value.kind() == ValueKind::GlobalRefSet) {
+          if (union_merge[a] && global_value.kind() == ValueKind::GlobalRefSet) {
             GlobalRefSet sorted{global_value.as_global_ref_set()};
             std::sort(sorted.targets.begin(), sorted.targets.end());
             global_value = Value(std::move(sorted));
@@ -155,91 +170,115 @@ void note_stall(MatStall* stall, GOid holder, std::size_t step) noexcept {
   stall->set = true;
 }
 
-/// Predicate evaluation over materialized objects; mirrors query/eval.cpp
-/// but navigates GOid references between materialized extents.
-Truth eval_materialized(const MaterializedView& view, const GlobalSchema& schema,
-                        const MaterializedObject& obj,
-                        const GlobalClass& cls, const Predicate& pred,
-                        std::size_t step, AccessMeter* meter,
-                        MatStall* stall = nullptr) {
-  const auto index = cls.def().find_attribute(pred.path.step(step));
-  ensures(index.has_value(), "global query resolved before evaluation");
-  const Value& v = obj.values[*index];
-  const bool last = (step + 1 == pred.path.length());
-  if (last) {
-    if (meter != nullptr) ++meter->comparisons;
-    const Truth t = apply(pred.op, v, pred.literal);
-    if (is_unknown(t)) note_stall(stall, obj.id, step);
-    return t;
+/// A global path bound to a materialized view: per step, the attribute
+/// index in the step's global class and, for steps that navigate on, the
+/// domain class and its materialized extent — resolved once per query
+/// instead of once per object and step.
+class BoundViewPath {
+ public:
+  BoundViewPath(const MaterializedView& view, const GlobalSchema& schema,
+                const GlobalClass& root, const PathExpr& path)
+      : view_(&view) {
+    const GlobalClass* cls = &root;
+    for (std::size_t step = 0; step < path.length(); ++step) {
+      const auto index = cls->def().find_attribute(path.step(step));
+      ensures(index.has_value(), "global query resolved before evaluation");
+      Step bound{*index, nullptr, nullptr, &path.step(step)};
+      if (step + 1 < path.length()) {
+        const auto& cplx =
+            std::get<ComplexType>(cls->def().attribute(*index).type);
+        bound.domain = &schema.cls(cplx.domain_class);
+        if (view.has_extent(bound.domain->name()))
+          bound.extent = &view.extent(bound.domain->name());
+        cls = bound.domain;
+      }
+      steps_.push_back(bound);
+    }
   }
-  if (v.is_null()) {
-    note_stall(stall, obj.id, step);
-    return Truth::Unknown;
-  }
-  const auto& cplx =
-      std::get<ComplexType>(cls.def().attribute(*index).type);
-  const GlobalClass& domain = schema.cls(cplx.domain_class);
-  const MaterializedExtent& extent = view.extent(domain.name());
 
-  const auto descend = [&](GOid target) -> Truth {
-    const MaterializedObject* next = extent.find(target);
-    if (next == nullptr) {
-      note_stall(stall, obj.id, step);  // dangling: the referrer stalls
+  /// Predicate evaluation over materialized objects; mirrors the local
+  /// evaluator but navigates GOid references between materialized extents.
+  Truth eval(const MaterializedObject& obj, const Predicate& pred,
+             std::size_t step, AccessMeter* meter, MatStall* stall) const {
+    const Step& bound = steps_[step];
+    const Value& v = obj.values[bound.index];
+    if (step + 1 == steps_.size()) {
+      if (meter != nullptr) ++meter->comparisons;
+      const Truth t = apply(pred.op, v, pred.literal);
+      if (is_unknown(t)) note_stall(stall, obj.id, step);
+      return t;
+    }
+    if (v.is_null()) {
+      note_stall(stall, obj.id, step);
       return Truth::Unknown;
     }
-    if (meter != nullptr) ++meter->objects_fetched;
-    return eval_materialized(view, schema, *next, domain, pred, step + 1,
-                             meter, stall);
+    const MaterializedExtent& extent = extent_of(bound);
+    const auto descend = [&](GOid target) -> Truth {
+      const MaterializedObject* next = extent.find(target);
+      if (next == nullptr) {
+        note_stall(stall, obj.id, step);  // dangling: the referrer stalls
+        return Truth::Unknown;
+      }
+      if (meter != nullptr) ++meter->objects_fetched;
+      return eval(*next, pred, step + 1, meter, stall);
+    };
+    if (v.kind() == ValueKind::GlobalRef) return descend(v.as_global_ref());
+    if (v.kind() == ValueKind::GlobalRefSet) {
+      Truth acc = Truth::False;
+      for (const GOid target : v.as_global_ref_set()) {
+        const Truth branch = descend(target);
+        if (is_true(branch)) return branch;
+        acc = acc || branch;
+      }
+      return acc;
+    }
+    throw QueryError("materialized path step " + *bound.name +
+                     " is not a reference");
+  }
+
+  /// The value the path reaches from `obj`; null across missing data.
+  Value target(const MaterializedObject& obj, std::size_t step,
+               AccessMeter* meter) const {
+    const Step& bound = steps_[step];
+    const Value& v = obj.values[bound.index];
+    if (step + 1 == steps_.size()) return v;
+    if (v.is_null()) return Value::null();
+    const MaterializedExtent& extent = extent_of(bound);
+    const auto descend = [&](GOid target_id) -> Value {
+      const MaterializedObject* next = extent.find(target_id);
+      if (next == nullptr) return Value::null();
+      if (meter != nullptr) ++meter->objects_fetched;
+      return target(*next, step + 1, meter);
+    };
+    if (v.kind() == ValueKind::GlobalRef) return descend(v.as_global_ref());
+    if (v.kind() == ValueKind::GlobalRefSet) {
+      for (const GOid target_id : v.as_global_ref_set()) {
+        Value rest = descend(target_id);
+        if (!rest.is_null()) return rest;
+      }
+      return Value::null();
+    }
+    throw QueryError("materialized path step " + *bound.name +
+                     " is not a reference");
+  }
+
+ private:
+  struct Step {
+    std::size_t index;
+    const GlobalClass* domain;
+    const MaterializedExtent* extent;  ///< nullptr: not in the view
+    const std::string* name;
   };
 
-  if (v.kind() == ValueKind::GlobalRef) return descend(v.as_global_ref());
-  if (v.kind() == ValueKind::GlobalRefSet) {
-    Truth acc = Truth::False;
-    for (const GOid target : v.as_global_ref_set()) {
-      const Truth branch = descend(target);
-      if (is_true(branch)) return branch;
-      acc = acc || branch;
-    }
-    return acc;
+  /// The extent a navigating step leads to; throws when the view lacks it.
+  const MaterializedExtent& extent_of(const Step& step) const {
+    return step.extent != nullptr ? *step.extent
+                                  : view_->extent(step.domain->name());
   }
-  throw QueryError("materialized path step " + pred.path.step(step) +
-                   " is not a reference");
-}
 
-Value eval_materialized_path(const MaterializedView& view,
-                             const GlobalSchema& schema,
-                             const MaterializedObject& obj,
-                             const GlobalClass& cls, const PathExpr& path,
-                             std::size_t step, AccessMeter* meter) {
-  const auto index = cls.def().find_attribute(path.step(step));
-  ensures(index.has_value(), "global query resolved before evaluation");
-  const Value& v = obj.values[*index];
-  const bool last = (step + 1 == path.length());
-  if (last) return v;
-  if (v.is_null()) return Value::null();
-  const auto& cplx = std::get<ComplexType>(cls.def().attribute(*index).type);
-  const GlobalClass& domain = schema.cls(cplx.domain_class);
-  const MaterializedExtent& extent = view.extent(domain.name());
-
-  const auto descend = [&](GOid target) -> Value {
-    const MaterializedObject* next = extent.find(target);
-    if (next == nullptr) return Value::null();
-    if (meter != nullptr) ++meter->objects_fetched;
-    return eval_materialized_path(view, schema, *next, domain, path, step + 1,
-                                  meter);
-  };
-
-  if (v.kind() == ValueKind::GlobalRef) return descend(v.as_global_ref());
-  if (v.kind() == ValueKind::GlobalRefSet) {
-    for (const GOid target : v.as_global_ref_set()) {
-      Value rest = descend(target);
-      if (!rest.is_null()) return rest;
-    }
-    return Value::null();
-  }
-  throw QueryError("materialized path step " + path.step(step) +
-                   " is not a reference");
-}
+  const MaterializedView* view_;
+  std::vector<Step> steps_;
+};
 
 }  // namespace
 
@@ -255,15 +294,23 @@ QueryResult evaluate_global(const MaterializedView& view,
   const GlobalClass& range = schema.cls(query.range_class);
   const MaterializedExtent& extent = view.extent(range.name());
 
+  std::vector<BoundViewPath> bound_preds;
+  bound_preds.reserve(query.predicates.size());
+  for (const Predicate& pred : query.predicates)
+    bound_preds.emplace_back(view, schema, range, pred.path);
+  std::vector<BoundViewPath> bound_targets;
+  bound_targets.reserve(query.targets.size());
+  for (const PathExpr& target : query.targets)
+    bound_targets.emplace_back(view, schema, range, target);
+
   QueryResult result;
   for (const MaterializedObject& obj : extent.objects()) {
     std::vector<Truth> truths;
     truths.reserve(query.predicates.size());
     std::vector<MatStall> stalls(query.predicates.size());
     for (std::size_t p = 0; p < query.predicates.size(); ++p)
-      truths.push_back(eval_materialized(view, schema, obj, range,
-                                         query.predicates[p], 0, meter,
-                                         &stalls[p]));
+      truths.push_back(bound_preds[p].eval(obj, query.predicates[p], 0, meter,
+                                           &stalls[p]));
     const Truth truth = query.combine(truths);
     if (is_false(truth)) continue;
 
@@ -293,9 +340,8 @@ QueryResult evaluate_global(const MaterializedView& view,
           combine_conditions(query, std::move(per_pred)).simplify();
     }
     row.targets.reserve(query.targets.size());
-    for (const PathExpr& target : query.targets)
-      row.targets.push_back(eval_materialized_path(view, schema, obj, range,
-                                                   target, 0, meter));
+    for (const BoundViewPath& target : bound_targets)
+      row.targets.push_back(target.target(obj, 0, meter));
     result.rows.push_back(std::move(row));
   }
   result.normalize();

@@ -12,11 +12,13 @@
 // (see Federation::check_consistency) the order cannot change the outcome.
 #pragma once
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "isomer/common/hash.hpp"
 #include "isomer/federation/federation.hpp"
 #include "isomer/query/query.hpp"
 #include "isomer/query/result.hpp"
@@ -47,13 +49,16 @@ class MaterializedExtent {
   void insert(MaterializedObject obj);
 
   /// Pre-sizes for `n` objects (the outerjoin knows the entity count of the
-  /// class up front — reserve before inserting to avoid rehash churn).
-  void reserve(std::size_t n);
+  /// class up front — reserve before inserting to avoid realloc churn).
+  void reserve(std::size_t n) { objects_.reserve(n); }
 
  private:
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
   const GlobalClass* cls_ = nullptr;
   std::vector<MaterializedObject> objects_;
-  std::unordered_map<GOid, std::size_t> by_id_;
+  /// Row of each GOid, indexed by GOid value (GOids are dense, 1..entities).
+  std::vector<std::uint32_t> row_of_;
 };
 
 /// A set of materialized global extents — the global site's integrated view.
@@ -65,7 +70,9 @@ class MaterializedView {
   MaterializedExtent& add_extent(const GlobalClass& cls);
 
  private:
-  std::unordered_map<std::string, MaterializedExtent> extents_;
+  std::unordered_map<std::string, MaterializedExtent, TransparentStringHash,
+                     std::equal_to<>>
+      extents_;
 };
 
 /// The global classes a query touches: its range class plus every branch

@@ -1,7 +1,6 @@
 #include "isomer/query/eval.hpp"
 
 #include "isomer/common/error.hpp"
-#include "isomer/query/eval_cache.hpp"
 
 namespace isomer {
 
@@ -60,130 +59,18 @@ PredicateOutcome eval_from(const ComponentDatabase& db, const Object& obj,
                    " is primitive but the path continues");
 }
 
-/// Cache-aware twin of eval_from: the current class rides along (resolved
-/// through the deref memo instead of per-object hash lookups) and attribute
-/// positions come from the path's memoized per-class column table. Identical
-/// outcomes and meter counts by construction.
-PredicateOutcome eval_from_cached(const ComponentDatabase& db, EvalCache& cache,
-                                  const Object& obj, const ClassDef& cls,
-                                  const Predicate& pred, PathResolution& res,
-                                  std::size_t step, AccessMeter* meter) {
-  const auto index = res.attr_index(step, cls);
-  if (!index)
-    return PredicateOutcome{Truth::Unknown, UnsolvedSite{obj.id(), step}};
-  const Value& v = obj.value(*index);
-  const bool last = (step + 1 == pred.path.length());
-
-  if (last) {
-    if (meter != nullptr) ++meter->comparisons;
-    const Truth t = apply(pred.op, v, pred.literal);
-    if (is_unknown(t))
-      return PredicateOutcome{Truth::Unknown, UnsolvedSite{obj.id(), step}};
-    return PredicateOutcome{t, std::nullopt};
-  }
-
-  if (v.is_null())
-    return PredicateOutcome{Truth::Unknown, UnsolvedSite{obj.id(), step}};
-
-  if (v.kind() == ValueKind::LocalRef) {
-    const ResolvedObject next =
-        db.resolve(v.as_local_ref(), meter, nullptr, &cache.derefs());
-    if (next.obj == nullptr)
-      return PredicateOutcome{Truth::Unknown, UnsolvedSite{obj.id(), step}};
-    return eval_from_cached(db, cache, *next.obj, *next.cls, pred, res,
-                            step + 1, meter);
-  }
-
-  if (v.kind() == ValueKind::LocalRefSet) {
-    PredicateOutcome acc{Truth::False, std::nullopt};
-    for (const LOid member : v.as_local_ref_set()) {
-      const ResolvedObject next =
-          db.resolve(member, meter, nullptr, &cache.derefs());
-      PredicateOutcome branch =
-          next.obj == nullptr
-              ? PredicateOutcome{Truth::Unknown,
-                                 UnsolvedSite{obj.id(), step}}
-              : eval_from_cached(db, cache, *next.obj, *next.cls, pred, res,
-                                 step + 1, meter);
-      if (is_true(branch.truth)) return branch;
-      if (is_unknown(branch.truth) && !is_unknown(acc.truth)) acc = branch;
-    }
-    return acc;
-  }
-
-  throw QueryError("path " + pred.path.dotted() + " step " +
-                   pred.path.step(step) + " of class " + cls.name() +
-                   " is primitive but the path continues");
-}
-
-/// The root object's class. class_of throws FederationError for an unknown
-/// root, exactly as the uncached walk's first step does; the name-to-class
-/// hop sits behind the cache's one-entry memo since an extent's objects all
-/// share one class. The deref memo is deliberately not involved: roots are
-/// handed in from outside and never re-resolved, so memoizing them would
-/// only grow the map.
-const ClassDef& root_class(const ComponentDatabase& db, const Object& root,
-                           EvalCache& cache) {
-  return cache.class_by_name(db.class_of(root.id()));
-}
-
-Value eval_path_cached(const ComponentDatabase& db, EvalCache& cache,
-                       const Object& root, const ClassDef& root_cls,
-                       const PathExpr& path, PathResolution& res,
-                       std::size_t start, AccessMeter* meter) {
-  const Object* obj = &root;
-  const ClassDef* cls = &root_cls;
-  for (std::size_t step = start; step < path.length(); ++step) {
-    const auto index = res.attr_index(step, *cls);
-    if (!index) return Value::null();
-    const Value& v = obj->value(*index);
-    const bool last = (step + 1 == path.length());
-    if (last) return v;
-    if (v.is_null()) return Value::null();
-    if (v.kind() == ValueKind::LocalRef) {
-      const ResolvedObject next =
-          db.resolve(v.as_local_ref(), meter, nullptr, &cache.derefs());
-      if (next.obj == nullptr) return Value::null();
-      obj = next.obj;
-      cls = next.cls;
-      continue;
-    }
-    if (v.kind() == ValueKind::LocalRefSet) {
-      // Take the first member whose continuation yields a non-null value.
-      for (const LOid member : v.as_local_ref_set()) {
-        const ResolvedObject next =
-            db.resolve(member, meter, nullptr, &cache.derefs());
-        if (next.obj == nullptr) continue;
-        Value rest = eval_path_cached(db, cache, *next.obj, *next.cls, path,
-                                      res, step + 1, meter);
-        if (!rest.is_null()) return rest;
-      }
-      return Value::null();
-    }
-    throw QueryError("path " + path.dotted() + " continues past primitive " +
-                     path.step(step));
-  }
-  return Value::null();
-}
-
 }  // namespace
 
 PredicateOutcome eval_predicate(const ComponentDatabase& db, const Object& root,
-                                const Predicate& pred, AccessMeter* meter,
-                                EvalCache* cache) {
+                                const Predicate& pred, AccessMeter* meter) {
   expects(pred.path.length() > 0, "predicate with empty path");
   expects(!pred.literal.is_null(), "predicate literal must not be null");
-  if (cache == nullptr) return eval_from(db, root, pred, 0, meter);
-  return eval_from_cached(db, *cache, root, root_class(db, root, *cache), pred,
-                          cache->resolution(pred.path), 0, meter);
+  return eval_from(db, root, pred, 0, meter);
 }
 
 Value eval_path(const ComponentDatabase& db, const Object& root,
-                const PathExpr& path, AccessMeter* meter, EvalCache* cache) {
+                const PathExpr& path, AccessMeter* meter) {
   expects(path.length() > 0, "cannot evaluate an empty path");
-  if (cache != nullptr)
-    return eval_path_cached(db, *cache, root, root_class(db, root, *cache),
-                            path, cache->resolution(path), 0, meter);
   const Object* obj = &root;
   for (std::size_t step = 0; step < path.length(); ++step) {
     const ClassDef& cls = db.schema().cls(db.class_of(obj->id()));
@@ -215,33 +102,8 @@ Value eval_path(const ComponentDatabase& db, const Object& root,
 }
 
 const Object* walk_prefix(const ComponentDatabase& db, const Object& root,
-                          const PathExpr& path, AccessMeter* meter,
-                          EvalCache* cache) {
+                          const PathExpr& path, AccessMeter* meter) {
   const Object* obj = &root;
-  if (cache != nullptr) {
-    if (path.length() == 0) return obj;
-    const ClassDef* cls = &root_class(db, root, *cache);
-    PathResolution& res = cache->resolution(path);
-    for (std::size_t step = 0; step < path.length(); ++step) {
-      const auto index = res.attr_index(step, *cls);
-      if (!index) return nullptr;
-      const Value& v = obj->value(*index);
-      ResolvedObject next;
-      if (v.kind() == ValueKind::LocalRef) {
-        next = db.resolve(v.as_local_ref(), meter, nullptr, &cache->derefs());
-      } else if (v.kind() == ValueKind::LocalRefSet &&
-                 !v.as_local_ref_set().empty()) {
-        next = db.resolve(v.as_local_ref_set().front(), meter, nullptr,
-                          &cache->derefs());
-      } else {
-        return nullptr;  // null or primitive: no object to reach
-      }
-      if (next.obj == nullptr) return nullptr;
-      obj = next.obj;
-      cls = next.cls;
-    }
-    return obj;
-  }
   for (std::size_t step = 0; step < path.length(); ++step) {
     const ClassDef& cls = db.schema().cls(db.class_of(obj->id()));
     const auto index = cls.find_attribute(path.step(step));
@@ -262,11 +124,10 @@ const Object* walk_prefix(const ComponentDatabase& db, const Object& root,
 
 ObjectEval eval_conjunction(const ComponentDatabase& db, const Object& root,
                             const std::vector<Predicate>& preds,
-                            AccessMeter* meter, EvalCache* cache) {
+                            AccessMeter* meter) {
   ObjectEval result;
   for (std::size_t i = 0; i < preds.size(); ++i) {
-    const PredicateOutcome outcome =
-        eval_predicate(db, root, preds[i], meter, cache);
+    const PredicateOutcome outcome = eval_predicate(db, root, preds[i], meter);
     result.truth = result.truth && outcome.truth;
     if (is_unknown(outcome.truth) && outcome.site)
       result.unknowns.push_back(ObjectEval::UnknownPredicate{i, *outcome.site});

@@ -17,8 +17,6 @@
 
 namespace isomer {
 
-class EvalCache;
-
 /// Where a predicate evaluation became Unknown.
 struct UnsolvedSite {
   LOid holder;        ///< object holding the missing attribute / null value
@@ -38,24 +36,17 @@ struct PredicateOutcome {
 
 /// Evaluates `pred` (local attribute names) on `root` within `db`.
 /// Charges one comparison per comparison actually performed.
-///
-/// All evaluators accept an optional EvalCache (query/eval_cache.hpp). With
-/// a cache, path steps are resolved to attribute column indices once per
-/// class and dereferences are memoized; outcomes and meter counts are
-/// identical to the uncached path.
 [[nodiscard]] PredicateOutcome eval_predicate(const ComponentDatabase& db,
                                               const Object& root,
                                               const Predicate& pred,
-                                              AccessMeter* meter = nullptr,
-                                              EvalCache* cache = nullptr);
+                                              AccessMeter* meter = nullptr);
 
 /// Evaluates a target path on `root`, returning the reached value, or null
 /// when the walk crosses missing data. Set-valued steps take the first
 /// member whose continuation is non-null.
 [[nodiscard]] Value eval_path(const ComponentDatabase& db, const Object& root,
                               const PathExpr& path,
-                              AccessMeter* meter = nullptr,
-                              EvalCache* cache = nullptr);
+                              AccessMeter* meter = nullptr);
 
 /// Walks the pure-prefix of a path (no comparison): returns the object
 /// reached after `path` steps, or nullptr when the walk crosses missing
@@ -63,8 +54,7 @@ struct PredicateOutcome {
 [[nodiscard]] const Object* walk_prefix(const ComponentDatabase& db,
                                         const Object& root,
                                         const PathExpr& path,
-                                        AccessMeter* meter = nullptr,
-                                        EvalCache* cache = nullptr);
+                                        AccessMeter* meter = nullptr);
 
 /// The conjunctive evaluation of a whole predicate list on one object:
 /// overall Kleene truth plus, per Unknown predicate, its index and unsolved
@@ -82,7 +72,6 @@ struct ObjectEval {
 [[nodiscard]] ObjectEval eval_conjunction(const ComponentDatabase& db,
                                           const Object& root,
                                           const std::vector<Predicate>& preds,
-                                          AccessMeter* meter = nullptr,
-                                          EvalCache* cache = nullptr);
+                                          AccessMeter* meter = nullptr);
 
 }  // namespace isomer

@@ -28,29 +28,16 @@ bool storable(const AttrType& t, const Value& v) {
   return v.kind() == ValueKind::LocalRef;
 }
 
-struct SlotCounts {
-  std::uint64_t prims = 0;
-  std::uint64_t refs = 0;
-};
-
-SlotCounts slot_counts(const ClassDef& cls) {
-  SlotCounts counts;
-  for (const AttrDef& attr : cls.attributes()) {
-    if (is_complex(attr.type))
-      ++counts.refs;
-    else
-      ++counts.prims;
-  }
-  return counts;
-}
-
 }  // namespace
 
 ComponentDatabase::ComponentDatabase(ComponentSchema schema)
     : schema_(std::move(schema)) {
   schema_.validate();
-  for (const ClassDef& cls : schema_.classes())
-    extents_.emplace(cls.name(), Extent(cls));
+  extents_.reserve(schema_.classes().size());
+  for (const ClassDef& cls : schema_.classes()) {
+    extent_by_name_.emplace(cls.name(), extents_.size());
+    extents_.emplace_back(cls);
+  }
 }
 
 void ComponentDatabase::check_type(const ClassDef& cls, std::size_t attr_index,
@@ -70,8 +57,11 @@ LOid ComponentDatabase::insert(std::string_view class_name,
 
 LOid ComponentDatabase::insert(std::string_view class_name,
                                const std::vector<NamedValue>& values) {
-  Extent& ext = mutable_extent(class_name);
+  const std::size_t e = extent_index(class_name);
+  Extent& ext = extents_[e];
   const ClassDef& cls = ext.cls();
+  // The id is consumed before the type checks below: a throwing insert
+  // leaves a hole in the slot table.
   const LOid id{db(), next_loid_++};
   Object obj(id, cls);
   for (const auto& [attr_name, value] : values) {
@@ -82,76 +72,71 @@ LOid ComponentDatabase::insert(std::string_view class_name,
     check_type(cls, *index, value);
     obj.set_value(*index, value);
   }
-  ext.insert(std::move(obj));
-  loid_to_extent_.emplace(id, &ext);
+  const std::size_t row = ext.insert(std::move(obj));
+  if (slots_.size() <= id.local) slots_.resize(id.local + 1);
+  slots_[id.local] = Slot{static_cast<std::uint32_t>(e),
+                          static_cast<std::uint32_t>(row)};
   return id;
 }
 
 void ComponentDatabase::reserve(std::string_view class_name, std::size_t n) {
-  Extent& ext = mutable_extent(class_name);
+  Extent& ext = extents_[extent_index(class_name)];
   ext.reserve(ext.size() + n);
-  loid_to_extent_.reserve(loid_to_extent_.size() + n);
+  slots_.reserve(next_loid_ + n);
 }
 
 void ComponentDatabase::set_attribute(LOid id, std::string_view attr_name,
                                       Value v) {
-  const auto it = loid_to_extent_.find(id);
-  if (it == loid_to_extent_.end())
+  const Slot* slot = slot_of(id);
+  if (slot == nullptr)
     throw FederationError("LOid " + to_string(id) + " unknown to database " +
                           schema_.db_name());
-  Extent& ext = *it->second;
-  Object* obj = ext.find(id);
-  ensures(obj != nullptr, "LOid registered but absent from extent");
+  Extent& ext = extents_[slot->extent];
+  Object& obj = ext.objects()[slot->row];  // invalidates the mirror
   const auto index = ext.cls().find_attribute(attr_name);
   if (!index)
     throw QueryError("class " + ext.cls().name() + " has no attribute " +
                      std::string(attr_name));
   check_type(ext.cls(), *index, v);
-  obj->set_value(*index, std::move(v));
+  obj.set_value(*index, std::move(v));
 }
 
 const Extent& ComponentDatabase::extent(std::string_view class_name) const {
-  const auto it = extents_.find(class_name);
-  if (it == extents_.end())
-    throw SchemaError("database " + schema_.db_name() + " has no class " +
-                      std::string(class_name));
-  return it->second;
+  return extents_[extent_index(class_name)];
 }
 
 bool ComponentDatabase::has_extent(std::string_view class_name) const noexcept {
-  return extents_.find(class_name) != extents_.end();
+  return extent_by_name_.find(class_name) != extent_by_name_.end();
 }
 
-Extent& ComponentDatabase::mutable_extent(std::string_view class_name) {
-  const auto it = extents_.find(class_name);
-  if (it == extents_.end())
+std::size_t ComponentDatabase::extent_index(std::string_view class_name) const {
+  const auto it = extent_by_name_.find(class_name);
+  if (it == extent_by_name_.end())
     throw SchemaError("database " + schema_.db_name() + " has no class " +
                       std::string(class_name));
   return it->second;
 }
 
 const std::string& ComponentDatabase::class_of(LOid id) const {
-  const auto it = loid_to_extent_.find(id);
-  if (it == loid_to_extent_.end())
+  const Slot* slot = slot_of(id);
+  if (slot == nullptr)
     throw FederationError("LOid " + to_string(id) + " unknown to database " +
                           schema_.db_name());
-  return it->second->cls().name();
+  return extents_[slot->extent].cls().name();
 }
 
 const Object* ComponentDatabase::fetch(LOid id, AccessMeter* meter,
                                        FetchCache* cache) const {
-  const auto it = loid_to_extent_.find(id);
-  if (it == loid_to_extent_.end()) return nullptr;
-  const Extent& ext = *it->second;
-  const Object* obj = ext.find(id);
-  if (obj != nullptr && meter != nullptr &&
-      (cache == nullptr || cache->admit(id))) {
+  const Slot* slot = slot_of(id);
+  if (slot == nullptr) return nullptr;
+  const Extent& ext = extents_[slot->extent];
+  if (meter != nullptr &&
+      (cache == nullptr || cache->admit(id, slot->extent))) {
     ++meter->objects_fetched;
-    const SlotCounts counts = slot_counts(ext.cls());
-    meter->prim_slots += counts.prims;
-    meter->ref_slots += counts.refs;
+    meter->prim_slots += ext.slot_counts().prims;
+    meter->ref_slots += ext.slot_counts().refs;
   }
-  return obj;
+  return &ext.objects()[slot->row];
 }
 
 const Object* ComponentDatabase::deref(const Value& ref, AccessMeter* meter,
@@ -160,54 +145,17 @@ const Object* ComponentDatabase::deref(const Value& ref, AccessMeter* meter,
   return fetch(ref.as_local_ref(), meter, cache);
 }
 
-ResolvedObject ComponentDatabase::resolve(LOid id, AccessMeter* meter,
-                                          FetchCache* cache,
-                                          DerefCache* resolved) const {
-  const auto charge = [&](const Object* obj, std::uint64_t prims,
-                          std::uint64_t refs) {
-    if (obj != nullptr && meter != nullptr &&
-        (cache == nullptr || cache->admit(id))) {
-      ++meter->objects_fetched;
-      meter->prim_slots += prims;
-      meter->ref_slots += refs;
-    }
-  };
-  if (resolved != nullptr) {
-    const auto it = resolved->entries.find(id);
-    if (it != resolved->entries.end()) {
-      const DerefCache::Entry& entry = it->second;
-      charge(entry.obj, entry.prim_slots, entry.ref_slots);
-      return ResolvedObject{entry.obj, entry.cls};
-    }
-  }
-  const auto it = loid_to_extent_.find(id);
-  if (it == loid_to_extent_.end()) {
-    if (resolved != nullptr)
-      resolved->entries.emplace(id, DerefCache::Entry{});
-    return ResolvedObject{};
-  }
-  const Extent& ext = *it->second;
-  const Object* obj = ext.find(id);
-  const SlotCounts counts = slot_counts(ext.cls());
-  charge(obj, counts.prims, counts.refs);
-  if (resolved != nullptr)
-    resolved->entries.emplace(
-        id, DerefCache::Entry{obj, &ext.cls(), counts.prims, counts.refs});
-  return ResolvedObject{obj, &ext.cls()};
-}
-
 const std::vector<Object>& ComponentDatabase::scan(std::string_view class_name,
                                                    AccessMeter* meter,
                                                    FetchCache* cache) const {
-  const Extent& ext = extent(class_name);
+  const std::size_t e = extent_index(class_name);
+  const Extent& ext = extents_[e];
   if (meter != nullptr) {
     meter->objects_scanned += ext.size();
-    const SlotCounts counts = slot_counts(ext.cls());
-    meter->prim_slots += counts.prims * ext.size();
-    meter->ref_slots += counts.refs * ext.size();
+    meter->prim_slots += ext.slot_counts().prims * ext.size();
+    meter->ref_slots += ext.slot_counts().refs * ext.size();
   }
-  if (cache != nullptr)
-    for (const Object& obj : ext.objects()) cache->seen.insert(obj.id());
+  if (cache != nullptr) cache->admit_extent(db(), e);
   return ext.objects();
 }
 

@@ -4,6 +4,13 @@
 // allocates LOids, and offers the navigation primitives (point lookup,
 // reference dereference) the query evaluator and the execution strategies
 // are built on. Physical work is counted into an optional AccessMeter.
+//
+// LOids are allocated densely (1, 2, 3, ...) and never erased, so object
+// addressing is one array index: a slot table indexed by LOid::local maps
+// every object to its (extent, row). An id names no object — fetch/deref
+// return nullptr and charge nothing — when it belongs to another database,
+// lies past the allocated range (a dangling reference), or hits a hole (an
+// id an insert consumed before its type check threw).
 #pragma once
 
 #include <initializer_list>
@@ -15,7 +22,6 @@
 
 #include "isomer/common/hash.hpp"
 #include "isomer/objmodel/schema.hpp"
-#include "isomer/store/deref_cache.hpp"
 #include "isomer/store/extent.hpp"
 #include "isomer/store/meter.hpp"
 
@@ -47,7 +53,7 @@ class ComponentDatabase {
   /// Inserts an object with all attributes null.
   LOid insert(std::string_view class_name) { return insert(class_name, {}); }
 
-  /// Pre-sizes the class extent (and the LOid directory) for `n` more
+  /// Pre-sizes the class extent (and the slot table) for `n` more
   /// objects; call before bulk-loading a known cardinality.
   void reserve(std::string_view class_name, std::size_t n);
 
@@ -72,17 +78,6 @@ class ComponentDatabase {
                                     AccessMeter* meter = nullptr,
                                     FetchCache* cache = nullptr) const;
 
-  /// Point lookup that also returns the object's class, optionally memoized
-  /// in `resolved` so repeated navigations skip the LOid- and class-name
-  /// hash lookups. Metering is identical to fetch(): one fetched object
-  /// (plus its slot widths) is charged per successful call unless `cache`
-  /// says the object is already buffered — a memo hit never changes what
-  /// the meter sees. The memo holds raw pointers; discard it when the
-  /// database is mutated.
-  [[nodiscard]] ResolvedObject resolve(LOid id, AccessMeter* meter = nullptr,
-                                       FetchCache* cache = nullptr,
-                                       DerefCache* resolved = nullptr) const;
-
   /// Scans the extent of `class_name`, charging every object to the meter,
   /// and returns the objects. When `cache` is given, all scanned objects
   /// enter the buffer pool so later point lookups are memory hits.
@@ -91,7 +86,9 @@ class ComponentDatabase {
                                                 FetchCache* cache = nullptr) const;
 
   [[nodiscard]] std::size_t object_count() const noexcept {
-    return loid_to_extent_.size();
+    std::size_t count = 0;
+    for (const Extent& extent : extents_) count += extent.size();
+    return count;
   }
 
   /// Monotone mutation counter: the sum of every extent's version (see
@@ -100,25 +97,37 @@ class ComponentDatabase {
   /// whether their entries still describe the current data.
   [[nodiscard]] std::uint64_t mutation_epoch() const noexcept {
     std::uint64_t epoch = 0;
-    for (const auto& [name, extent] : extents_) epoch += extent.version();
+    for (const Extent& extent : extents_) epoch += extent.version();
     return epoch;
   }
 
  private:
-  Extent& mutable_extent(std::string_view class_name);
+  /// Where one object lives: extents_[extent].objects()[row].
+  struct Slot {
+    static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+    std::uint32_t extent = kAbsent;  ///< kAbsent marks a hole
+    std::uint32_t row = 0;
+  };
+
+  /// The slot of `id`; nullptr when `id` names no object here.
+  [[nodiscard]] const Slot* slot_of(LOid id) const noexcept {
+    if (id.db != db() || id.local >= slots_.size()) return nullptr;
+    const Slot& slot = slots_[id.local];
+    return slot.extent == Slot::kAbsent ? nullptr : &slot;
+  }
+  [[nodiscard]] std::size_t extent_index(std::string_view class_name) const;
   void check_type(const ClassDef& cls, std::size_t attr_index,
                   const Value& v) const;
 
   ComponentSchema schema_;
-  /// Extents keyed by class name; node-based, so Extent addresses are
-  /// stable and the LOid directory below can point straight at them.
-  std::unordered_map<std::string, Extent, TransparentStringHash,
+  /// One extent per class, in schema order; never resized after
+  /// construction, so slots can name extents by position.
+  std::vector<Extent> extents_;
+  std::unordered_map<std::string, std::size_t, TransparentStringHash,
                      std::equal_to<>>
-      extents_;
-  /// LOid directory: one hash lookup resolves an LOid to its extent (and
-  /// through it its class), keeping fetch() to a single probe on the hot
-  /// navigation path.
-  std::unordered_map<LOid, Extent*> loid_to_extent_;
+      extent_by_name_;
+  /// Slot table indexed by LOid::local (index 0 is never allocated).
+  std::vector<Slot> slots_;
   std::uint32_t next_loid_ = 1;
 };
 

@@ -8,9 +8,11 @@
 // sim::CostParams.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
+#include "isomer/common/error.hpp"
 #include "isomer/common/ids.hpp"
 
 namespace isomer {
@@ -46,11 +48,47 @@ struct AccessMeter {
 /// from disk and is charged to the meter; repeated accesses hit memory and
 /// charge nothing. Pass one cache per logical execution (a local query, a
 /// check batch) to the store's fetch/deref/scan.
-struct FetchCache {
-  std::unordered_set<LOid> seen;
+///
+/// LOids are dense per database, so the pool is a bitmap over LOid::local,
+/// plus one flag per extent that a full scan sets: a scan buffers its whole
+/// extent in O(1). One cache serves exactly one database.
+class FetchCache {
+ public:
+  /// True when object `id`, stored in extent number `extent` of its
+  /// database, was not yet buffered (the caller must charge the read);
+  /// buffers it either way.
+  bool admit(LOid id, std::size_t extent) {
+    bind(id.db);
+    if (extent < scanned_.size() && scanned_[extent]) return false;
+    const std::size_t word = id.local / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (id.local % 64);
+    if (word >= words_.size()) words_.resize(word + 1, 0);
+    if ((words_[word] & bit) != 0) return false;
+    words_[word] |= bit;
+    return true;
+  }
 
-  /// True when `id` was not yet cached (caller must charge the read).
-  bool admit(LOid id) { return seen.insert(id).second; }
+  /// Buffers every object of extent number `extent` of database `db` (a
+  /// full scan has just read them all).
+  void admit_extent(DbId db, std::size_t extent) {
+    bind(db);
+    if (extent >= scanned_.size()) scanned_.resize(extent + 1, false);
+    scanned_[extent] = true;
+  }
+
+ private:
+  void bind(DbId db) {
+    if (!bound_) {
+      db_ = db;
+      bound_ = true;
+    }
+    expects(db == db_, "one FetchCache serves one database");
+  }
+
+  bool bound_ = false;
+  DbId db_{};
+  std::vector<std::uint64_t> words_;
+  std::vector<bool> scanned_;
 };
 
 }  // namespace isomer
