@@ -5,10 +5,12 @@
 // time — useful when sizing full-scale (--paper) harness runs.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <unordered_map>
 
 #include "isomer/analytic/impute.hpp"
 #include "isomer/core/cert_cache.hpp"
+#include "isomer/core/certify.hpp"
 #include "isomer/core/local_exec.hpp"
 #include "isomer/core/strategy.hpp"
 #include "isomer/federation/goid_table.hpp"
@@ -201,9 +203,26 @@ ComponentDatabase make_scan_db(std::int64_t n) {
   return db;
 }
 
+/// The scan databases of every size the predicate-evaluation pair runs,
+/// shared by both benchmarks and all built (columnar mirrors included) on
+/// first use. Each benchmark reads the same memory whichever runs first, so
+/// their ratio does not depend on benchmark order through heap placement.
+const ComponentDatabase& scan_db(std::int64_t n) {
+  static const std::map<std::int64_t, ComponentDatabase> dbs = [] {
+    std::map<std::int64_t, ComponentDatabase> built;
+    for (const std::int64_t size : {100'000, 1'000'000}) {
+      const ComponentDatabase& db =
+          built.emplace(size, make_scan_db(size)).first->second;
+      (void)db.extent("Scan").columnar();
+    }
+    return built;
+  }();
+  return dbs.at(n);
+}
+
 void BM_PredicateEvalRow(benchmark::State& state) {
   const std::int64_t n = state.range(0);
-  const ComponentDatabase db = make_scan_db(n);
+  const ComponentDatabase& db = scan_db(n);
   const auto& objects = db.extent("Scan").objects();
   const Value literal{500.0};
   for (auto _ : state) {
@@ -221,7 +240,7 @@ BENCHMARK(BM_PredicateEvalRow)->Arg(100'000)->Arg(1'000'000);
 
 void BM_PredicateEvalColumnar(benchmark::State& state) {
   const std::int64_t n = state.range(0);
-  const ComponentDatabase db = make_scan_db(n);
+  const ComponentDatabase& db = scan_db(n);
   const ColumnarExtent& columnar = db.extent("Scan").columnar();
   const ColumnarExtent::Column& col = columnar.column(0);
   const Value literal{500.0};
@@ -288,9 +307,9 @@ void BM_GoidProbeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GoidProbeBatch)->Arg(100'000)->Arg(1'000'000);
 
-/// The pre-sharding probe baseline: one big std::unordered_map, probed in the
+/// The hash-map probe baseline: one big std::unordered_map, probed in the
 /// same shuffled order. Kept as a benchmark (not production code) so the
-/// sharded table's advantage stays measurable.
+/// dense per-database table's advantage stays measurable.
 void BM_GoidProbeReferenceMap(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   std::vector<LOid> order;
@@ -309,6 +328,124 @@ void BM_GoidProbeReferenceMap(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GoidProbeReferenceMap)->Arg(100'000)->Arg(1'000'000);
+
+// ---- Global-site residual build (core/certify.hpp) --------------------------
+//
+// certify()'s per-entity pass builds each entity's residual condition
+// already simplified (EntityPool). The reference is the path it replaced:
+// build the whole tree, substitute every pooled verdict, then simplify().
+// Both run over the same synthetic per-entity statuses, shaped like the
+// large federations' global site: one to three rows per entity, three
+// conjunctive predicates, statuses True / Unknown at the root / Unknown at
+// a nested item, half the nested items answered by a check verdict.
+
+struct ResidualFixture {
+  GlobalQuery query;
+  std::vector<LocalRow> rows;  // entity-major
+  std::vector<std::vector<const LocalRow*>> entities;
+  std::vector<CheckVerdict> verdicts;
+};
+
+const ResidualFixture& residual_fixture() {
+  static const ResidualFixture fixture = [] {
+    constexpr std::uint64_t kEntities = 100'000;
+    constexpr std::size_t kPreds = 3;
+    ResidualFixture f;
+    f.query.range_class = "C";
+    f.query.predicates.resize(kPreds);
+    Rng rng(21);
+    std::vector<std::size_t> row_counts;
+    for (std::uint64_t e = 0; e < kEntities; ++e)
+      row_counts.push_back(1 + rng.index(3));
+    for (std::uint64_t e = 0; e < kEntities; ++e)
+      for (std::size_t r = 0; r < row_counts[e]; ++r) {
+        LocalRow row;
+        row.entity = GOid{e + 1};
+        row.preds.resize(kPreds);
+        for (std::size_t p = 0; p < kPreds; ++p) {
+          PredStatus& status = row.preds[p];
+          const double draw = rng.uniform_real(0.0, 1.0);
+          if (draw < 0.55) {
+            status.truth = Truth::True;
+          } else if (draw < 0.75) {
+            status = PredStatus{Truth::Unknown, row.entity, 0, true};
+          } else {
+            status = PredStatus{Truth::Unknown,
+                                GOid{kEntities + 1 + rng.index(kEntities)}, 1,
+                                false};
+            if (rng.bernoulli(0.5))
+              f.verdicts.push_back(CheckVerdict{
+                  status.item, p,
+                  rng.bernoulli(0.8) ? Truth::True : Truth::Unknown});
+          }
+        }
+        f.rows.push_back(std::move(row));
+      }
+    std::size_t next = 0;
+    for (std::uint64_t e = 0; e < kEntities; ++e) {
+      f.entities.emplace_back();
+      for (std::size_t r = 0; r < row_counts[e]; ++r)
+        f.entities.back().push_back(&f.rows[next++]);
+    }
+    return f;
+  }();
+  return fixture;
+}
+
+void BM_ResidualBuild(benchmark::State& state) {
+  const ResidualFixture& f = residual_fixture();
+  const VerdictIndex verdicts(f.verdicts);
+  EntityPool pool(f.query, verdicts);
+  for (auto _ : state) {
+    std::size_t maybe = 0;
+    for (const auto& rows : f.entities) {
+      maybe += is_unknown(pool.pool(rows)) ? 1u : 0u;
+      benchmark::DoNotOptimize(pool.residual());
+    }
+    benchmark::DoNotOptimize(maybe);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.entities.size()));
+}
+BENCHMARK(BM_ResidualBuild);
+
+void BM_ResidualBuildReference(benchmark::State& state) {
+  const ResidualFixture& f = residual_fixture();
+  const VerdictIndex verdicts(f.verdicts);
+  const std::size_t n_preds = f.query.predicates.size();
+  for (auto _ : state) {
+    std::size_t maybe = 0;
+    for (const auto& rows : f.entities) {
+      std::vector<Condition> per_pred;
+      std::vector<std::pair<GOid, std::size_t>> dischargeable;
+      for (std::size_t p = 0; p < n_preds; ++p) {
+        std::vector<Condition> pooled;
+        for (const LocalRow* row : rows) {
+          const PredStatus& status = row->preds[p];
+          if (!is_unknown(status.truth)) {
+            pooled.push_back(Condition::constant(status.truth));
+            continue;
+          }
+          pooled.push_back(Condition::leaf(
+              CondAtom{status.item, p, status.step, status.step == 0}));
+          if (status.step > 0) dischargeable.emplace_back(status.item, p);
+        }
+        per_pred.push_back(Condition::pool(std::move(pooled)));
+      }
+      Condition condition = Condition::make_and(std::move(per_pred));
+      for (const auto& [item, p] : dischargeable)
+        if (const Truth* verdict = verdicts.find(item, p))
+          condition = condition.substitute(item, p, *verdict);
+      condition = condition.simplify();
+      maybe += is_unknown(condition.truth()) ? 1u : 0u;
+      benchmark::DoNotOptimize(condition);
+    }
+    benchmark::DoNotOptimize(maybe);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.entities.size()));
+}
+BENCHMARK(BM_ResidualBuildReference);
 
 /// Full local query execution, row path vs columnar fast path, on the same
 /// synthetic federation. The two are bitwise-identical in results and meter

@@ -5,12 +5,9 @@
 // not allocate a temporary std::string per call.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
-
-#include "isomer/common/ids.hpp"
 
 namespace isomer {
 
@@ -29,17 +26,5 @@ struct TransparentStringHash {
     return std::hash<std::string_view>{}(s);
   }
 };
-
-/// Finalizer-quality 64-bit mix of an LOid (same splitmix construction as
-/// std::hash<LOid>, exposed as a free function so open-addressed tables can
-/// derive both their shard and their slot from one well-mixed word).
-[[nodiscard]] inline std::uint64_t hash_loid(const LOid& id) noexcept {
-  const auto combined = (static_cast<std::uint64_t>(id.db.value()) << 32) |
-                        static_cast<std::uint64_t>(id.local);
-  std::uint64_t x = combined + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 }  // namespace isomer

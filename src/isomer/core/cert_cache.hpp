@@ -23,13 +23,13 @@
 // misses and are overwritten in place — the cache can serve wrong-epoch
 // data for exactly zero probes.
 //
-// Layout mirrors federation/goid_table.hpp: 16 independent open-addressed
-// shards (flat power-of-two slot arrays, linear probing, goid 0 the empty
-// sentinel, growth at 7/8 load), shard chosen by the hash's top bits and
-// slot by its low bits. Probes are NOT charged to any AccessMeter: like the
-// signature index, the cache is a replicated auxiliary structure outside
-// the paper's cost model — its benefit shows up as the check traffic it
-// removes, never as hidden work it adds.
+// Layout: 16 independent open-addressed shards (flat power-of-two slot
+// arrays, linear probing, goid 0 the empty sentinel, growth at 7/8 load),
+// shard chosen by the hash's top bits and slot by its low bits. Probes are
+// NOT charged to any AccessMeter: like the signature index, the cache is a
+// replicated auxiliary structure outside the paper's cost model — its
+// benefit shows up as the check traffic it removes, never as hidden work it
+// adds.
 //
 // The cache is deliberately not thread-safe; the serving loop is a
 // deterministic single-threaded event simulation and each bench trial owns
@@ -98,7 +98,7 @@ class CertCache {
   static constexpr std::size_t kShardCount = std::size_t{1} << kShardBits;
 
   /// One well-mixed word per key: top bits pick the shard, low bits the
-  /// slot (same splitmix finalizer as common/hash.hpp's hash_loid).
+  /// slot (same splitmix finalizer as std::hash<LOid> in common/ids.hpp).
   static std::uint64_t hash_key(GOid item, std::uint64_t signature) noexcept {
     std::uint64_t x =
         (item.value() * 0x9e3779b97f4a7c15ULL) ^ signature;

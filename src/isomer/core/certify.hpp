@@ -24,6 +24,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "isomer/core/checks.hpp"
@@ -52,6 +53,70 @@ struct CertifyStats {
   std::map<std::size_t, std::uint64_t> unresolved_by_predicate;
 };
 
+/// IM's imputed verdicts: (item GOid, predicate) -> the estimate's
+/// confidence (see certify()).
+using ImputedConfidences = std::map<std::pair<GOid, std::size_t>, double>;
+
+/// Exactly what certify() receives beyond the federation and the query; the
+/// certifying strategies hand it to StrategyOptions::on_certify.
+struct CertifyInputs {
+  const std::vector<LocalExecution>& locals;
+  const std::vector<CheckVerdict>& verdicts;
+  const std::set<DbId>* unavailable;
+  const ImputedConfidences* imputed;
+};
+
+/// Check verdicts pooled per (item, predicate) atom with the certification
+/// rule's merge: any False dominates (one violating assistant eliminates),
+/// otherwise Kleene-or. Sorted by atom, so a lookup is one binary search.
+class VerdictIndex {
+ public:
+  /// Charges one comparison per verdict to `meter`.
+  explicit VerdictIndex(const std::vector<CheckVerdict>& verdicts,
+                        AccessMeter* meter = nullptr);
+
+  /// The pooled verdict of (item, predicate); null when no verdict names it.
+  [[nodiscard]] const Truth* find(GOid item,
+                                  std::size_t predicate) const noexcept;
+
+ private:
+  std::vector<std::pair<std::pair<GOid, std::size_t>, Truth>> pooled_;
+};
+
+/// certify()'s per-entity pass: reads one entity's rows once, pooling the
+/// row statuses and the verdicts of step > 0 sites into the flat truth while
+/// building the residual condition already simplified (docs/CONDITIONS.md).
+/// Scratch is reused across entities; only residual nodes that keep two or
+/// more children allocate.
+class EntityPool {
+ public:
+  EntityPool(const GlobalQuery& query, const VerdictIndex& verdicts,
+             AccessMeter* meter = nullptr,
+             const ImputedConfidences* imputed = nullptr);
+
+  /// Pools `rows` (one entity's rows, ascending DbId) and returns the
+  /// entity's overall truth. residual() then holds the simplified condition,
+  /// whose truth() equals it (checked on every call), and confidence() the
+  /// product of the distinct imputed confidences consulted. Charges one
+  /// comparison per (row, predicate) and one per verdict applied.
+  Truth pool(std::span<const LocalRow* const> rows);
+
+  [[nodiscard]] Condition& residual() noexcept { return residual_; }
+  [[nodiscard]] double confidence() const noexcept { return confidence_; }
+
+ private:
+  const GlobalQuery* query_;
+  const VerdictIndex* verdicts_;
+  AccessMeter* meter_;
+  const ImputedConfidences* imputed_;
+  std::vector<Truth> truths_;
+  std::vector<Condition> per_pred_;
+  std::vector<Condition> pooled_;
+  std::vector<std::pair<GOid, std::size_t>> imputed_used_;
+  Condition residual_;
+  double confidence_ = 1.0;
+};
+
 /// Certifies the collected local results into the final answer.
 /// `meter` receives the global site's merge work: one comparison per
 /// (row, predicate) merged, one per verdict applied, and one mapping-table
@@ -78,6 +143,6 @@ struct CertifyStats {
     const std::vector<LocalExecution>& locals,
     const std::vector<CheckVerdict>& verdicts, AccessMeter* meter = nullptr,
     CertifyStats* stats = nullptr, const std::set<DbId>* unavailable = nullptr,
-    const std::map<std::pair<GOid, std::size_t>, double>* imputed = nullptr);
+    const ImputedConfidences* imputed = nullptr);
 
 }  // namespace isomer

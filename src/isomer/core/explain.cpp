@@ -181,10 +181,10 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
                 : is_true(overall) ? Outcome::Certain
                                    : Outcome::Maybe;
 
-  // --- The residual condition of a maybe outcome: the per-predicate pools
-  // combined in the query's shape, every checked atom's pooled verdict
-  // substituted, then simplified — certify()'s condition path for one
-  // entity.
+  // --- The residual condition of a maybe outcome: every checked atom's
+  // pooled verdict substituted into the per-predicate pools, each pool
+  // simplified, then combined in the query's shape — the residual certify()
+  // builds for the entity, reached the long way round.
   if (out.outcome == Outcome::Maybe) {
     Condition::Assignment verdict_index;
     for (const CheckVerdict& verdict : verdicts) {
@@ -199,12 +199,13 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
     }
     std::vector<Condition> per_pred;
     per_pred.reserve(query.predicates.size());
-    for (std::size_t p = 0; p < query.predicates.size(); ++p)
-      per_pred.push_back(Condition::pool(std::move(pooled[p])));
-    Condition condition = combine_conditions(query, std::move(per_pred));
-    for (const auto& [atom, truth] : verdict_index)
-      condition = condition.substitute(atom.first, atom.second, truth);
-    out.residual = condition.simplify();
+    for (std::size_t p = 0; p < query.predicates.size(); ++p) {
+      Condition pool = Condition::pool(std::move(pooled[p]));
+      for (const auto& [atom, truth] : verdict_index)
+        if (atom.second == p) pool = pool.substitute(atom.first, p, truth);
+      per_pred.push_back(pool.simplify());
+    }
+    out.residual = combine_conditions(query, per_pred);
     ensures(out.residual.truth() == overall,
             "explanation residual must agree with the pooled evidence");
   }

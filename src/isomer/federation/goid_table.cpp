@@ -1,80 +1,19 @@
 #include "isomer/federation/goid_table.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "isomer/common/error.hpp"
 
 namespace isomer {
 
-namespace {
-
-constexpr std::size_t kMinShardCapacity = 16;
-
-/// Smallest power of two holding `n` entries below the 7/8 load bound.
-std::size_t capacity_for(std::size_t n) {
-  std::size_t cap = kMinShardCapacity;
-  while (cap - cap / 8 < n) cap <<= 1;
-  return cap;
+void GoidTable::loid_insert(LOid key, std::uint64_t goid) {
+  if (key.db.value() >= by_loid_.size()) by_loid_.resize(key.db.value() + 1);
+  std::vector<std::uint64_t>& goids = by_loid_[key.db.value()];
+  if (key.local >= goids.size()) goids.resize(std::size_t{key.local} + 1, 0);
+  goids[key.local] = goid;
 }
 
-}  // namespace
-
-std::uint64_t GoidTable::loid_lookup(LOid key) const noexcept {
-  const std::uint64_t hash = hash_loid(key);
-  const Shard& shard = by_loid_[shard_of(hash)];
-  if (shard.slots.empty()) return 0;
-  const std::size_t mask = shard.slots.size() - 1;
-  for (std::size_t i = static_cast<std::size_t>(hash) & mask;;
-       i = (i + 1) & mask) {
-    const Shard::Slot& slot = shard.slots[i];
-    if (slot.goid == 0) return 0;
-    if (slot.key == key) return slot.goid;
-  }
-}
-
-void GoidTable::grow_shard(Shard& shard, std::size_t min_capacity) {
-  std::vector<Shard::Slot> old = std::move(shard.slots);
-  shard.slots.assign(std::bit_ceil(min_capacity), Shard::Slot{});
-  const std::size_t mask = shard.slots.size() - 1;
-  for (const Shard::Slot& slot : old) {
-    if (slot.goid == 0) continue;
-    std::size_t i = static_cast<std::size_t>(hash_loid(slot.key)) & mask;
-    while (shard.slots[i].goid != 0) i = (i + 1) & mask;
-    shard.slots[i] = slot;
-  }
-}
-
-bool GoidTable::loid_insert(LOid key, std::uint64_t goid) {
-  const std::uint64_t hash = hash_loid(key);
-  Shard& shard = by_loid_[shard_of(hash)];
-  // Grow at 7/8 load (or first insert) before probing for a free slot.
-  if (shard.slots.empty() ||
-      shard.size + 1 > shard.slots.size() - shard.slots.size() / 8)
-    grow_shard(shard, std::max(kMinShardCapacity, shard.slots.size() * 2));
-  const std::size_t mask = shard.slots.size() - 1;
-  for (std::size_t i = static_cast<std::size_t>(hash) & mask;;
-       i = (i + 1) & mask) {
-    Shard::Slot& slot = shard.slots[i];
-    if (slot.goid == 0) {
-      slot.key = key;
-      slot.goid = goid;
-      ++shard.size;
-      return true;
-    }
-    if (slot.key == key) return false;
-  }
-}
-
-void GoidTable::reserve(std::size_t objects) {
-  entries_.reserve(objects);
-  // Hash sharding spreads keys near-uniformly; size every shard for its
-  // expected share (growth still handles any imbalance).
-  const std::size_t per_shard = objects / kShardCount + 1;
-  for (Shard& shard : by_loid_)
-    if (shard.slots.size() < capacity_for(per_shard))
-      grow_shard(shard, capacity_for(per_shard));
-}
+void GoidTable::reserve(std::size_t objects) { entries_.reserve(objects); }
 
 GOid GoidTable::register_entity(std::string_view global_class,
                                 const std::vector<LOid>& isomers) {
@@ -134,12 +73,11 @@ void GoidTable::goids_of(std::span<const LOid> locals, GOid* out,
   for (std::size_t i = 0; i < n; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
     if (i + kAhead < n) {
-      const std::uint64_t hash = hash_loid(locals[i + kAhead]);
-      const Shard& shard = by_loid_[shard_of(hash)];
-      if (!shard.slots.empty())
-        __builtin_prefetch(
-            &shard.slots[static_cast<std::size_t>(hash) &
-                         (shard.slots.size() - 1)]);
+      const LOid ahead = locals[i + kAhead];
+      if (ahead.db.value() < by_loid_.size()) {
+        const std::vector<std::uint64_t>& goids = by_loid_[ahead.db.value()];
+        if (ahead.local < goids.size()) __builtin_prefetch(&goids[ahead.local]);
+      }
     }
 #endif
     out[i] = GOid{loid_lookup(locals[i])};

@@ -9,16 +9,15 @@
 //
 // The LOid -> GOid direction is the hottest probe path in the system (every
 // surviving local row, every unknown predicate holder, every globalized
-// reference goes through it), so it is implemented as a set of independent
-// open-addressed hash shards rather than one std::unordered_map: linear
-// probing over a flat slot array costs one cache line per probe in the
-// common case, and the batch entry point `goids_of` prefetches upcoming
-// slots so dependent misses overlap. Sharding keys on the top bits of the
-// mixed hash while slot selection uses the low bits, so the two choices are
-// independent.
+// reference goes through it). Component databases hand out LOid::local
+// densely (1, 2, 3, ... per database, see store/database.hpp), so the
+// direction is one flat array of GOid values per database indexed by
+// LOid::local: a probe is two bounds checks and one load, and the batch
+// entry point `goids_of` prefetches upcoming entries so dependent misses
+// overlap. The arrays hold 8 bytes per local up to the largest local
+// registered in each database.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -46,8 +45,8 @@ class GoidTable {
   /// Adds another isomeric object to an existing entity.
   void add_isomer(GOid entity, LOid isomer);
 
-  /// Pre-sizes the table for roughly `objects` mapped LOids (and as many
-  /// entities), avoiding shard growth during bulk registration.
+  /// Pre-sizes the entity list for roughly `objects` entities (the per-
+  /// database arrays grow with the largest registered local).
   void reserve(std::size_t objects);
 
   /// GOid of a local object; nullopt when unmapped.
@@ -57,7 +56,7 @@ class GoidTable {
   /// Batch probe: out[i] = GOid of locals[i], or GOid{0} when unmapped
   /// (real GOids start at 1). Charges one table probe per element — exactly
   /// what the same sequence of goid_of calls would charge — but overlaps
-  /// the slot-array cache misses via software prefetch.
+  /// the array cache misses via software prefetch.
   void goids_of(std::span<const LOid> locals, GOid* out,
                 AccessMeter* meter = nullptr) const;
 
@@ -100,35 +99,20 @@ class GoidTable {
     std::vector<LOid> isomers;  // kept sorted by DbId
   };
 
-  /// One open-addressed LOid -> GOid shard: flat power-of-two slot array,
-  /// linear probing, goid 0 marks an empty slot (GOids start at 1). Grows at
-  /// 7/8 load.
-  struct Shard {
-    struct Slot {
-      LOid key;
-      std::uint64_t goid = 0;
-    };
-    std::vector<Slot> slots;
-    std::size_t size = 0;
-  };
-
-  static constexpr std::size_t kShardBits = 4;
-  static constexpr std::size_t kShardCount = std::size_t{1} << kShardBits;
-
-  static std::size_t shard_of(std::uint64_t hash) noexcept {
-    return static_cast<std::size_t>(hash >> (64 - kShardBits));
+  /// GOid value mapped to `key` (0 when unmapped; GOids start at 1).
+  [[nodiscard]] std::uint64_t loid_lookup(LOid key) const noexcept {
+    if (key.db.value() >= by_loid_.size()) return 0;
+    const std::vector<std::uint64_t>& goids = by_loid_[key.db.value()];
+    return key.local < goids.size() ? goids[key.local] : 0;
   }
-
-  /// GOid value mapped to `key` (0 when unmapped).
-  [[nodiscard]] std::uint64_t loid_lookup(LOid key) const noexcept;
-  /// Maps `key` to `goid`; false when the key is already present.
-  bool loid_insert(LOid key, std::uint64_t goid);
-  void grow_shard(Shard& shard, std::size_t min_capacity);
+  /// Maps the (unmapped) `key` to `goid`, growing its database's array.
+  void loid_insert(LOid key, std::uint64_t goid);
 
   [[nodiscard]] const Entry& entry(GOid entity) const;
 
   std::vector<Entry> entries_;
-  std::array<Shard, kShardCount> by_loid_;
+  /// by_loid_[db][local] = GOid value of LOid{db, local}; 0 = unmapped.
+  std::vector<std::vector<std::uint64_t>> by_loid_;
   std::unordered_map<std::string, std::vector<GOid>, TransparentStringHash,
                      std::equal_to<>>
       by_class_;

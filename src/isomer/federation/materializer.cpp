@@ -303,14 +303,18 @@ QueryResult evaluate_global(const MaterializedView& view,
   for (const PathExpr& target : query.targets)
     bound_targets.emplace_back(view, schema, range, target);
 
+  // Per-query scratch, reused object after object.
+  const std::size_t n_preds = query.predicates.size();
+  std::vector<Truth> truths(n_preds);
+  std::vector<MatStall> stalls(n_preds);
+  std::vector<Condition> per_pred(n_preds);
   QueryResult result;
   for (const MaterializedObject& obj : extent.objects()) {
-    std::vector<Truth> truths;
-    truths.reserve(query.predicates.size());
-    std::vector<MatStall> stalls(query.predicates.size());
-    for (std::size_t p = 0; p < query.predicates.size(); ++p)
-      truths.push_back(bound_preds[p].eval(obj, query.predicates[p], 0, meter,
-                                           &stalls[p]));
+    for (std::size_t p = 0; p < n_preds; ++p) {
+      stalls[p] = MatStall{};
+      truths[p] = bound_preds[p].eval(obj, query.predicates[p], 0, meter,
+                                      &stalls[p]);
+    }
     const Truth truth = query.combine(truths);
     if (is_false(truth)) continue;
 
@@ -324,20 +328,17 @@ QueryResult evaluate_global(const MaterializedView& view,
     // the localized approaches build from per-database rows — conditions
     // are deliberately outside ResultRow equality for this reason.)
     if (row.status == ResultStatus::Maybe) {
-      std::vector<Condition> per_pred;
-      per_pred.reserve(query.predicates.size());
-      for (std::size_t p = 0; p < query.predicates.size(); ++p) {
+      for (std::size_t p = 0; p < n_preds; ++p) {
         if (is_unknown(truths[p])) {
           const MatStall& s = stalls[p];
           ensures(s.set, "Unknown evaluation must report its stall site");
-          per_pred.push_back(Condition::leaf(CondAtom{
-              s.holder, p, s.step, s.step == 0 && s.holder == obj.id}));
+          per_pred[p] = Condition::leaf(CondAtom{
+              s.holder, p, s.step, s.step == 0 && s.holder == obj.id});
         } else {
-          per_pred.push_back(Condition::constant(truths[p]));
+          per_pred[p] = Condition::constant(truths[p]);
         }
       }
-      row.condition =
-          combine_conditions(query, std::move(per_pred)).simplify();
+      row.condition = combine_conditions(query, per_pred);
     }
     row.targets.reserve(query.targets.size());
     for (const BoundViewPath& target : bound_targets)

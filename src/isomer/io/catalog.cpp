@@ -408,6 +408,14 @@ class Loader {
                static_cast<std::uint32_t>(std::stoul(pair.substr(colon + 1)))});
     }
     if (isomers.empty()) bad(line_no, "entity needs at least one object");
+    // The GOid table sizes its arrays by the largest local it maps: refuse
+    // objects no database holds before registering them.
+    for (const LOid& isomer : isomers) {
+      const auto db = databases_.find(isomer.db.value());
+      if (db == databases_.end() || db->second->fetch(isomer) == nullptr)
+        throw FederationError("entity " + t.at(1).text + " names object " +
+                              to_string(isomer) + ", which no database holds");
+    }
     (void)goids_.register_entity(t.at(1).text, isomers);
   }
 

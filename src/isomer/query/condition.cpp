@@ -1,6 +1,7 @@
 #include "isomer/query/condition.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -98,18 +99,16 @@ Truth Condition::truth(const Assignment& assignment) const {
   return negated_ ? !base : base;
 }
 
-Condition Condition::substitute(GOid item, std::size_t predicate,
-                                Truth value) const {
+template <typename Decide>
+Condition Condition::replace_leaves(const Decide& decide) const {
   switch (kind_) {
     case Kind::Constant:
       return *this;
     case Kind::Leaf:
-      if (!atom_.root_level && atom_.item == item &&
-          atom_.predicate == predicate) {
-        // The negation flag folds into the constant right away — a negated
-        // leaf decided True is the constant False.
-        return constant(negated_ ? !value : value);
-      }
+      // The negation flag folds into the constant right away — a negated
+      // leaf decided True is the constant False.
+      if (const std::optional<Truth> value = decide(atom_))
+        return constant(negated_ ? !*value : *value);
       return *this;
     case Kind::And:
     case Kind::Or:
@@ -119,103 +118,82 @@ Condition Condition::substitute(GOid item, std::size_t predicate,
       c.negated_ = negated_;
       c.children_.reserve(children_.size());
       for (const Condition& child : children_)
-        c.children_.push_back(child.substitute(item, predicate, value));
+        c.children_.push_back(child.replace_leaves(decide));
       return c;
     }
   }
   return *this;
+}
+
+Condition Condition::substitute(GOid item, std::size_t predicate,
+                                Truth value) const {
+  return replace_leaves([&](const CondAtom& a) -> std::optional<Truth> {
+    if (!a.root_level && a.item == item && a.predicate == predicate)
+      return value;
+    return std::nullopt;
+  });
 }
 
 Condition Condition::substitute_atom(const CondAtom& atom,
                                      Truth value) const {
-  switch (kind_) {
-    case Kind::Constant:
-      return *this;
-    case Kind::Leaf:
-      if (atom_ == atom) return constant(negated_ ? !value : value);
-      return *this;
-    case Kind::And:
-    case Kind::Or:
-    case Kind::Pool: {
-      Condition c;
-      c.kind_ = kind_;
-      c.negated_ = negated_;
-      c.children_.reserve(children_.size());
-      for (const Condition& child : children_)
-        c.children_.push_back(child.substitute_atom(atom, value));
-      return c;
-    }
+  return replace_leaves([&](const CondAtom& a) -> std::optional<Truth> {
+    if (a == atom) return value;
+    return std::nullopt;
+  });
+}
+
+Condition Condition::fold(Kind kind, std::span<Condition> children) {
+  const auto is = [](const Condition& c, Truth value) {
+    return c.kind_ == Kind::Constant && !c.negated_ && c.value_ == value;
+  };
+  // Per connective: the constant a child drops out as, the constant that
+  // decides the node outright, and the empty node's value. And/Or drop
+  // their identity and collapse on their annihilator; Pool drops Unknown
+  // (it contributes no evidence) and collapses on False.
+  const Truth drop = kind == Kind::And   ? Truth::True
+                     : kind == Kind::Or  ? Truth::False
+                                         : Truth::Unknown;
+  const Truth decide = kind == Kind::Or ? Truth::True : Truth::False;
+  const Truth empty = kind == Kind::Pool ? Truth::Unknown : drop;
+  std::size_t kept = 0, kept_true = 0;
+  Condition* last = nullptr;
+  for (Condition& child : children) {
+    if (is(child, decide)) return constant(decide);
+    if (is(child, drop)) continue;
+    ++kept;
+    last = &child;
+    // Pool keeps True children: Pool{True, x} still turns False with x.
+    if (is(child, Truth::True)) ++kept_true;
   }
-  return *this;
+  if (kept == 0) return constant(empty);
+  // Only True constants left in a Pool: no child can ever turn False.
+  if (kind == Kind::Pool && kept_true == kept) return constant(Truth::True);
+  if (kept == 1) return std::move(*last);
+  Condition c;
+  c.kind_ = kind;
+  c.children_.reserve(kept);
+  for (Condition& child : children)
+    if (!is(child, drop)) c.children_.push_back(std::move(child));
+  return c;
 }
 
 Condition Condition::simplify() const {
-  // Folds this node's negation into `base` and returns it.
-  const auto finish = [this](Condition base) -> Condition {
-    if (!negated_) return base;
-    if (base.kind_ == Kind::Constant && !base.negated_)
-      return constant(!base.value_);
-    return base.negate();
-  };
-
-  switch (kind_) {
-    case Kind::Constant:
-    case Kind::Leaf: {
-      Condition c = *this;
-      c.negated_ = false;
-      return finish(std::move(c));
-    }
-    case Kind::And:
-    case Kind::Or: {
-      const bool conj = kind_ == Kind::And;
-      const Truth identity = conj ? Truth::True : Truth::False;
-      const Truth annihilator = !identity;
-      std::vector<Condition> kept;
-      kept.reserve(children_.size());
-      for (const Condition& child : children_) {
-        Condition s = child.simplify();
-        if (s.is_constant() && !s.negated_) {
-          if (s.value_ == annihilator) return finish(constant(annihilator));
-          if (s.value_ == identity) continue;  // no effect on min/max
-        }
-        kept.push_back(std::move(s));
-      }
-      if (kept.empty()) return finish(constant(identity));
-      if (kept.size() == 1) return finish(std::move(kept.front()));
-      Condition c;
-      c.kind_ = kind_;
-      c.children_ = std::move(kept);
-      return finish(std::move(c));
-    }
-    case Kind::Pool: {
-      bool any_true = false;
-      std::vector<Condition> kept;
-      kept.reserve(children_.size());
-      for (const Condition& child : children_) {
-        Condition s = child.simplify();
-        if (s.is_constant() && !s.negated_) {
-          if (is_false(s.value_)) return finish(constant(Truth::False));
-          if (is_unknown(s.value_)) continue;  // contributes no evidence
-          any_true = true;  // kept: Pool{True, x} still turns False with x
-        }
-        kept.push_back(std::move(s));
-      }
-      if (kept.empty()) return finish(constant(Truth::Unknown));
-      // Only True constants left: no child can ever turn False.
-      if (any_true &&
-          static_cast<std::size_t>(std::count_if(
-              kept.begin(), kept.end(), [](const Condition& c) {
-                return c.is_constant() && !c.negated() && is_true(c.value_);
-              })) == kept.size())
-        return finish(constant(Truth::True));
-      if (kept.size() == 1) return finish(std::move(kept.front()));
-      Condition c;
-      c.kind_ = Kind::Pool;
-      c.children_ = std::move(kept);
-      return finish(std::move(c));
-    }
+  Condition base;
+  if (kind_ == Kind::Constant || kind_ == Kind::Leaf) {
+    base = *this;
+    base.negated_ = false;
+  } else {
+    std::vector<Condition> simplified;
+    simplified.reserve(children_.size());
+    for (const Condition& child : children_)
+      simplified.push_back(child.simplify());
+    base = fold(kind_, simplified);
   }
-  return *this;
+  // Fold this node's negation into the simplified base.
+  if (!negated_) return base;
+  if (base.kind_ == Kind::Constant && !base.negated_)
+    return constant(!base.value_);
+  return base.negate();
 }
 
 void Condition::collect_atoms(std::vector<CondAtom>& out) const {
@@ -271,29 +249,28 @@ std::ostream& operator<<(std::ostream& os, const Condition& condition) {
 }
 
 Condition combine_conditions(const GlobalQuery& query,
-                             std::vector<Condition> per_pred) {
+                             std::span<Condition> per_pred) {
   expects(per_pred.size() == query.predicates.size(),
           "combine_conditions needs one condition per predicate");
   // Mirrors GlobalQuery::combine exactly: AND(loose) AND OR(AND(group)).
-  std::vector<bool> grouped(per_pred.size(), false);
+  if (query.disjuncts.empty()) return Condition::simplified_and(per_pred);
   std::vector<Condition> alternatives;
   alternatives.reserve(query.disjuncts.size());
+  std::vector<Condition> conjuncts;
   for (const auto& group : query.disjuncts) {
-    std::vector<Condition> conjuncts;
-    conjuncts.reserve(group.size());
+    conjuncts.clear();
     for (const std::size_t index : group) {
       expects(index < per_pred.size(), "disjunct index out of range");
-      grouped[index] = true;
       conjuncts.push_back(per_pred[index]);
     }
-    alternatives.push_back(Condition::make_and(std::move(conjuncts)));
+    alternatives.push_back(Condition::simplified_and(conjuncts));
   }
   std::vector<Condition> loose;
-  if (!query.disjuncts.empty())
-    loose.push_back(Condition::make_or(std::move(alternatives)));
+  loose.reserve(per_pred.size() + 1);
+  loose.push_back(Condition::simplified_or(alternatives));
   for (std::size_t p = 0; p < per_pred.size(); ++p)
-    if (!grouped[p]) loose.push_back(std::move(per_pred[p]));
-  return Condition::make_and(std::move(loose));
+    if (!query.in_disjunct(p)) loose.push_back(std::move(per_pred[p]));
+  return Condition::simplified_and(loose);
 }
 
 std::uint64_t predicate_signature(const Predicate& predicate) {

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,6 +79,22 @@ class Condition {
   [[nodiscard]] static Condition make_and(std::vector<Condition> children);
   [[nodiscard]] static Condition make_or(std::vector<Condition> children);
   [[nodiscard]] static Condition pool(std::vector<Condition> children);
+
+  /// Simplifying constructors: the node that simplify() makes of an
+  /// And / Or / Pool over `children`, each of which must already be
+  /// simplified (constants, plain leaves, or results of these
+  /// constructors). simplified_and(cs) == make_and(cs).simplify(), and so
+  /// on, without building the unsimplified node first. The children are
+  /// moved from; only a result that keeps two or more of them allocates.
+  [[nodiscard]] static Condition simplified_and(std::span<Condition> c) {
+    return fold(Kind::And, c);
+  }
+  [[nodiscard]] static Condition simplified_or(std::span<Condition> c) {
+    return fold(Kind::Or, c);
+  }
+  [[nodiscard]] static Condition simplified_pool(std::span<Condition> c) {
+    return fold(Kind::Pool, c);
+  }
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] bool negated() const noexcept { return negated_; }
@@ -145,6 +162,14 @@ class Condition {
   friend bool operator==(const Condition&, const Condition&) = default;
 
  private:
+  /// simplify()'s rule for one And / Or / Pool node over children that are
+  /// already simplified; the result is simplified and carries no negation.
+  [[nodiscard]] static Condition fold(Kind kind, std::span<Condition> children);
+  /// Copies the tree, turning every leaf `decide` returns a value for into
+  /// that constant.
+  template <typename Decide>
+  [[nodiscard]] Condition replace_leaves(const Decide& decide) const;
+
   Kind kind_ = Kind::Constant;
   bool negated_ = false;
   Truth value_ = Truth::True;        ///< Constant payload
@@ -156,11 +181,14 @@ std::ostream& operator<<(std::ostream& os, const Condition& condition);
 
 /// Combines per-predicate conditions (aligned with `query.predicates`) into
 /// one row condition with exactly GlobalQuery::combine's shape:
-/// AND(loose predicates) AND OR(AND(group) for each disjunct group). For
-/// every assignment, combine_conditions(q, cs).truth(a) ==
-/// q.combine([c.truth(a) for c in cs]).
+/// AND(loose predicates) AND OR(AND(group) for each disjunct group), folded
+/// through the simplifying constructors. For every assignment,
+/// combine_conditions(q, cs).truth(a) == q.combine([c.truth(a) for c in cs]).
+/// When every per-predicate condition is simplified, so is the result: it
+/// equals the unsimplified AND/OR tree of the same shape, simplify()d.
+/// Moves from `per_pred`.
 [[nodiscard]] Condition combine_conditions(const GlobalQuery& query,
-                                           std::vector<Condition> per_pred);
+                                           std::span<Condition> per_pred);
 
 /// Stable signature of a predicate atom for certificate-cache keying: an
 /// FNV-1a hash of the predicate's canonical print (`path op literal`), which

@@ -1,5 +1,7 @@
 #include "isomer/query/query.hpp"
 
+#include <algorithm>
+
 #include "isomer/common/error.hpp"
 
 namespace isomer {
@@ -64,21 +66,25 @@ GlobalQuery& GlobalQuery::or_group(std::initializer_list<std::size_t> indices) {
 Truth GlobalQuery::combine(const std::vector<Truth>& truths) const {
   expects(truths.size() == predicates.size(),
           "GlobalQuery::combine needs one truth per predicate");
-  std::vector<bool> grouped(predicates.size(), false);
   Truth alternatives = Truth::False;
   for (const auto& group : disjuncts) {
     Truth conjunct = Truth::True;
     for (const std::size_t index : group) {
       expects(index < predicates.size(), "disjunct index out of range");
-      grouped[index] = true;
       conjunct = conjunct && truths[index];
     }
     alternatives = alternatives || conjunct;
   }
   Truth result = disjuncts.empty() ? Truth::True : alternatives;
   for (std::size_t p = 0; p < truths.size(); ++p)
-    if (!grouped[p]) result = result && truths[p];
+    if (!in_disjunct(p)) result = result && truths[p];
   return result;
+}
+
+bool GlobalQuery::in_disjunct(std::size_t index) const noexcept {
+  return std::any_of(disjuncts.begin(), disjuncts.end(), [&](const auto& g) {
+    return std::find(g.begin(), g.end(), index) != g.end();
+  });
 }
 
 }  // namespace isomer

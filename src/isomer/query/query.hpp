@@ -70,6 +70,10 @@ struct GlobalQuery {
   /// query's overall Kleene truth. Throws ContractViolation when a disjunct
   /// index is out of range or `truths` is misaligned.
   [[nodiscard]] Truth combine(const std::vector<Truth>& truths) const;
+
+  /// Whether predicate `index` belongs to some OR-alternative (otherwise it
+  /// is a loose conjunct).
+  [[nodiscard]] bool in_disjunct(std::size_t index) const noexcept;
 };
 
 /// A predicate of the global query that is *schema-unsolved* for one

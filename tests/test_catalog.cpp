@@ -159,6 +159,13 @@ TEST(Catalog, HandEditedCatalogGetsFederationValidation) {
       "    bind \"k\" \"k\"\n"
       "entity \"C\" 1:99\n";
   EXPECT_THROW((void)load_catalog(text), FederationError);
+  // A local far past any allocated object, or a database the catalog never
+  // declared, is refused before it reaches the GOid table.
+  const std::string prefix = text.substr(0, text.rfind("entity"));
+  EXPECT_THROW((void)load_catalog(prefix + "entity \"C\" 1:4000000000\n"),
+               FederationError);
+  EXPECT_THROW((void)load_catalog(prefix + "entity \"C\" 7:1\n"),
+               FederationError);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
-// The sharded open-addressing LOid -> GOid table: agreement with a
-// reference std::unordered_map under randomized registration (driving the
-// shards through several growth/rehash cycles), batch-probe equivalence
-// with the scalar path, metering of batch probes, and the merged presence
-// probe used by certification.
+// The dense LOid -> GOid table (one array per database indexed by
+// LOid::local): agreement with a reference std::unordered_map under
+// randomized registration (driving the arrays through several growths),
+// the edges of the dense index (local 0, locals past the end, databases
+// never registered, duplicates after growth), batch-probe equivalence with
+// the scalar path, metering of batch probes, and the merged presence probe
+// used by certification.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -119,6 +121,87 @@ TEST(GoidShards, PresentInMatchesLoidInLoop) {
     EXPECT_EQ(merged_meter.table_probes, loop_meter.table_probes)
         << "merged presence probe must charge exactly the per-home loop";
   }
+}
+
+TEST(GoidShards, LocalZeroIsAnOrdinaryIndex) {
+  GoidTable table;
+  const GOid zero = table.register_entity("C", {{DbId{1}, 0}});
+  const GOid one = table.register_entity("C", {{DbId{1}, 1}});
+  EXPECT_EQ(table.goid_of({DbId{1}, 0}), zero);
+  EXPECT_EQ(table.goid_of({DbId{1}, 1}), one);
+  EXPECT_FALSE(table.goid_of({DbId{2}, 0}));
+  EXPECT_THROW(table.register_entity("C", {{DbId{1}, 0}}), FederationError);
+}
+
+TEST(GoidShards, LocalsPastTheEndAreUnmapped) {
+  GoidTable table;
+  table.register_entity("C", {{DbId{1}, 3}});
+  EXPECT_FALSE(table.goid_of({DbId{1}, 2})) << "a hole below the end";
+  EXPECT_FALSE(table.goid_of({DbId{1}, 4}));
+  EXPECT_FALSE(table.goid_of({DbId{1}, 1'000'000}));
+  EXPECT_FALSE(table.goid_of({DbId{1}, 0xFFFF'FFFFu}));
+}
+
+TEST(GoidShards, UnregisteredDatabasesAreUnmapped) {
+  GoidTable table;
+  EXPECT_FALSE(table.goid_of({DbId{1}, 1})) << "empty table";
+  table.register_entity("C", {{DbId{1}, 1}, {DbId{5}, 1}});
+  EXPECT_FALSE(table.goid_of({DbId{0}, 1}));
+  EXPECT_FALSE(table.goid_of({DbId{3}, 1})) << "between registered dbs";
+  EXPECT_FALSE(table.goid_of({DbId{6}, 1})) << "past the last db";
+  EXPECT_FALSE(table.goid_of({DbId{0xFFFF}, 1}));
+  EXPECT_TRUE(table.goid_of({DbId{5}, 1}));
+}
+
+TEST(GoidShards, DuplicateDetectedAfterGrowth) {
+  GoidTable table;
+  const GOid early = table.register_entity("C", {{DbId{1}, 5}});
+  // Grow DB1's array well past its first size, then re-register.
+  for (std::uint32_t i = 6; i < 5000; ++i)
+    table.register_entity("C", {{DbId{1}, i}});
+  EXPECT_THROW(table.register_entity("C", {{DbId{1}, 5}}), FederationError);
+  EXPECT_THROW(table.register_entity("C", {{DbId{1}, 4999}}), FederationError);
+  const GOid other = table.register_entity("C", {{DbId{2}, 1}});
+  EXPECT_THROW(table.add_isomer(other, {DbId{1}, 5}), FederationError);
+  EXPECT_EQ(table.goid_of({DbId{1}, 5}), early)
+      << "a refused registration leaves the mapping alone";
+  table.add_isomer(early, {DbId{3}, 70'000});
+  EXPECT_EQ(table.goid_of({DbId{3}, 70'000}), early);
+  EXPECT_THROW(table.add_isomer(other, {DbId{3}, 70'000}), FederationError);
+}
+
+TEST(GoidShards, ReserveAcrossDatabasesDoesNotChangeAnswers) {
+  Rng rng(91);
+  GoidTable plain, reserved;
+  reserved.reserve(10);  // far below what registration needs
+  std::vector<LOid> keys;
+  for (std::uint32_t i = 1; i <= 3000; ++i) {
+    const LOid id{DbId{static_cast<std::uint16_t>(1 + rng.index(3))},
+                  static_cast<std::uint32_t>(i * (1 + rng.index(3)))};
+    if (plain.goid_of(id)) continue;
+    EXPECT_EQ(plain.register_entity("C", {id}),
+              reserved.register_entity("C", {id}));
+    keys.push_back(id);
+  }
+  for (const LOid& id : keys) EXPECT_EQ(plain.goid_of(id), reserved.goid_of(id));
+  EXPECT_EQ(plain.entity_count(), reserved.entity_count());
+}
+
+TEST(GoidShards, BatchProbeAgreesAtTheEdges) {
+  GoidTable table;
+  table.register_entity("C", {{DbId{1}, 0}, {DbId{2}, 7}});
+  table.register_entity("C", {{DbId{1}, 9}});
+  const std::vector<LOid> probes{
+      {DbId{1}, 0}, {DbId{1}, 9},  {DbId{1}, 10},      {DbId{1}, 1},
+      {DbId{2}, 7}, {DbId{2}, 0},  {DbId{4}, 7},       {DbId{0}, 0},
+      {DbId{1}, 9}, {DbId{9}, 99}, {DbId{1}, 0xFFFFu}, {DbId{2}, 7}};
+  std::vector<GOid> out(probes.size());
+  AccessMeter meter;
+  table.goids_of(probes, out.data(), &meter);
+  EXPECT_EQ(meter.table_probes, probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i)
+    EXPECT_EQ(out[i], table.goid_of(probes[i]).value_or(GOid{0}))
+        << "probe " << i;
 }
 
 TEST(GoidShards, EntitiesOfHeterogeneousLookup) {

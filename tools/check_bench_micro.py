@@ -3,7 +3,7 @@
 
 Usage:
     build/bench/bench_micro \
-        --benchmark_filter='PredicateEval(Row|Columnar)|GoidProbe' \
+        --benchmark_filter='PredicateEval(Row|Columnar)|GoidProbe|ResidualBuild' \
         --benchmark_format=json --benchmark_out=now.json
     python3 tools/check_bench_micro.py now.json
 
