@@ -19,6 +19,7 @@
 #include "isomer/obs/trace_session.hpp"
 #include "isomer/sim/barrier.hpp"
 #include "isomer/workload/synth.hpp"
+#include "residual_reference.hpp"
 
 namespace {
 
@@ -332,7 +333,8 @@ BENCHMARK(BM_GoidProbeReferenceMap)->Arg(100'000)->Arg(1'000'000);
 // ---- Global-site residual build (core/certify.hpp) --------------------------
 //
 // certify()'s per-entity pass builds each entity's residual condition
-// already simplified (EntityPool). The reference is the path it replaced:
+// already simplified (EntityPool). The reference is the path it replaced
+// (bench/residual_reference.hpp, shared with tests/test_residual_identity):
 // build the whole tree, substitute every pooled verdict, then simplify().
 // Both run over the same synthetic per-entity statuses, shaped like the
 // large federations' global site: one to three rows per entity, three
@@ -412,31 +414,11 @@ BENCHMARK(BM_ResidualBuild);
 void BM_ResidualBuildReference(benchmark::State& state) {
   const ResidualFixture& f = residual_fixture();
   const VerdictIndex verdicts(f.verdicts);
-  const std::size_t n_preds = f.query.predicates.size();
   for (auto _ : state) {
     std::size_t maybe = 0;
     for (const auto& rows : f.entities) {
-      std::vector<Condition> per_pred;
-      std::vector<std::pair<GOid, std::size_t>> dischargeable;
-      for (std::size_t p = 0; p < n_preds; ++p) {
-        std::vector<Condition> pooled;
-        for (const LocalRow* row : rows) {
-          const PredStatus& status = row->preds[p];
-          if (!is_unknown(status.truth)) {
-            pooled.push_back(Condition::constant(status.truth));
-            continue;
-          }
-          pooled.push_back(Condition::leaf(
-              CondAtom{status.item, p, status.step, status.step == 0}));
-          if (status.step > 0) dischargeable.emplace_back(status.item, p);
-        }
-        per_pred.push_back(Condition::pool(std::move(pooled)));
-      }
-      Condition condition = Condition::make_and(std::move(per_pred));
-      for (const auto& [item, p] : dischargeable)
-        if (const Truth* verdict = verdicts.find(item, p))
-          condition = condition.substitute(item, p, *verdict);
-      condition = condition.simplify();
+      const Condition condition =
+          bench::reference_residual(f.query, rows, verdicts);
       maybe += is_unknown(condition.truth()) ? 1u : 0u;
       benchmark::DoNotOptimize(condition);
     }

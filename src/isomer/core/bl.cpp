@@ -152,13 +152,12 @@ void maybe_certify(ExecEnv& env, const std::shared_ptr<GlobalState>& state) {
   AccessMeter meter;
   CertifyStats stats;
   const std::set<DbId>& dead = env.unavailable();
-  const CertifyInputs inputs{
-      state->locals, state->verdicts, dead.empty() ? nullptr : &dead,
-      state->impute != nullptr ? &state->impute->confidences : nullptr};
-  if (env.options().on_certify) env.options().on_certify(inputs);
-  state->result =
-      certify(env.fed(), env.query(), inputs.locals, inputs.verdicts, &meter,
-              &stats, inputs.unavailable, inputs.imputed);
+  state->result = certify(env.fed(), env.query(), state->locals,
+                          state->verdicts, &meter, &stats,
+                          dead.empty() ? nullptr : &dead,
+                          state->impute != nullptr
+                              ? &state->impute->confidences
+                              : nullptr);
   if (state->impute != nullptr) {
     // IM's residual discharge: estimate the atoms the dispatch filter could
     // not reach (root-level sites, unanswered assistants) straight out of

@@ -115,10 +115,10 @@ Truth EntityPool::pool(std::span<const LocalRow* const> rows) {
     truths_[p] = any_false  ? Truth::False
                  : any_true ? Truth::True
                             : Truth::Unknown;
-    per_pred_[p] = Condition::simplified_pool(pooled_);
+    per_pred_[p] = Condition::simplified_pool(std::move(pooled_));
   }
   const Truth overall = query_->combine(truths_);
-  residual_ = combine_conditions(*query_, per_pred_);
+  residual_ = combine_conditions(*query_, std::move(per_pred_));
   ensures(residual_.truth() == overall,
           "row condition must agree with the flat certification pool");
   return overall;
@@ -257,7 +257,7 @@ QueryResult certify(
       if (out.status == ResultStatus::Maybe) {
         for (std::size_t p = 0; p < n_preds; ++p)
           per_pred[p] = Condition::leaf(CondAtom{entity, p, 0, true});
-        out.condition = combine_conditions(query, per_pred);
+        out.condition = combine_conditions(query, std::move(per_pred));
       }
       if (stats != nullptr) {
         ++stats->entities;

@@ -57,15 +57,6 @@ struct CertifyStats {
 /// confidence (see certify()).
 using ImputedConfidences = std::map<std::pair<GOid, std::size_t>, double>;
 
-/// Exactly what certify() receives beyond the federation and the query; the
-/// certifying strategies hand it to StrategyOptions::on_certify.
-struct CertifyInputs {
-  const std::vector<LocalExecution>& locals;
-  const std::vector<CheckVerdict>& verdicts;
-  const std::set<DbId>* unavailable;
-  const ImputedConfidences* imputed;
-};
-
 /// Check verdicts pooled per (item, predicate) atom with the certification
 /// rule's merge: any False dominates (one violating assistant eliminates),
 /// otherwise Kleene-or. Sorted by atom, so a lookup is one binary search.

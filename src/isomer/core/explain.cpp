@@ -205,7 +205,7 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
         if (atom.second == p) pool = pool.substitute(atom.first, p, truth);
       per_pred.push_back(pool.simplify());
     }
-    out.residual = combine_conditions(query, per_pred);
+    out.residual = combine_conditions(query, std::move(per_pred));
     ensures(out.residual.truth() == overall,
             "explanation residual must agree with the pooled evidence");
   }

@@ -220,9 +220,15 @@ void ImputeState::discharge(ExecEnv& env,
     }
   }
   if (eliminated > 0) {
+    // Compact in place. A kept row before the first eliminated one stays
+    // where it is: moving it onto itself would empty its condition and
+    // targets.
     std::size_t w = 0;
-    for (std::size_t i = 0; i < result.rows.size(); ++i)
-      if (kill[i] == 0) result.rows[w++] = std::move(result.rows[i]);
+    for (std::size_t i = 0; i < result.rows.size(); ++i) {
+      if (kill[i] != 0) continue;
+      if (w != i) result.rows[w] = std::move(result.rows[i]);
+      ++w;
+    }
     result.rows.resize(w);
   }
   imputed += impute_count;

@@ -20,7 +20,6 @@
 // federations all strategies return the same QueryResult.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,8 +100,6 @@ class ImputeOracle {
                                         bool mar) const = 0;
 };
 
-struct CertifyInputs;  // core/certify.hpp
-
 struct StrategyOptions {
   CostParams costs{};
   NetworkTopology topology = NetworkTopology::SharedBus;
@@ -153,10 +150,6 @@ struct StrategyOptions {
   /// and pooled verdicts are written back at certification time unless the
   /// execution degraded (partial evidence must never be cached).
   CertCache* cert_cache = nullptr;
-  /// Observer of the global site's certification (phase I): called once per
-  /// certifying execution with exactly the inputs certify() receives, so a
-  /// caller can replay or audit certification. Empty by default.
-  std::function<void(const CertifyInputs&)> on_certify;
   /// Imputation oracle for StrategyKind::IM (analytic/impute.hpp builds the
   /// concrete model; executing IM without one throws ImputeError — the
   /// estimators live a layer above core and cannot be built here). The

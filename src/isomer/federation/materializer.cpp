@@ -338,7 +338,7 @@ QueryResult evaluate_global(const MaterializedView& view,
           per_pred[p] = Condition::constant(truths[p]);
         }
       }
-      row.condition = combine_conditions(query, per_pred);
+      row.condition = combine_conditions(query, std::move(per_pred));
     }
     row.targets.reserve(query.targets.size());
     for (const BoundViewPath& target : bound_targets)

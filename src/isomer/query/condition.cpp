@@ -249,11 +249,12 @@ std::ostream& operator<<(std::ostream& os, const Condition& condition) {
 }
 
 Condition combine_conditions(const GlobalQuery& query,
-                             std::span<Condition> per_pred) {
+                             std::vector<Condition>&& per_pred) {
   expects(per_pred.size() == query.predicates.size(),
           "combine_conditions needs one condition per predicate");
   // Mirrors GlobalQuery::combine exactly: AND(loose) AND OR(AND(group)).
-  if (query.disjuncts.empty()) return Condition::simplified_and(per_pred);
+  if (query.disjuncts.empty())
+    return Condition::simplified_and(std::move(per_pred));
   std::vector<Condition> alternatives;
   alternatives.reserve(query.disjuncts.size());
   std::vector<Condition> conjuncts;
@@ -263,14 +264,14 @@ Condition combine_conditions(const GlobalQuery& query,
       expects(index < per_pred.size(), "disjunct index out of range");
       conjuncts.push_back(per_pred[index]);
     }
-    alternatives.push_back(Condition::simplified_and(conjuncts));
+    alternatives.push_back(Condition::simplified_and(std::move(conjuncts)));
   }
   std::vector<Condition> loose;
   loose.reserve(per_pred.size() + 1);
-  loose.push_back(Condition::simplified_or(alternatives));
+  loose.push_back(Condition::simplified_or(std::move(alternatives)));
   for (std::size_t p = 0; p < per_pred.size(); ++p)
     if (!query.in_disjunct(p)) loose.push_back(std::move(per_pred[p]));
-  return Condition::simplified_and(loose);
+  return Condition::simplified_and(std::move(loose));
 }
 
 std::uint64_t predicate_signature(const Predicate& predicate) {

@@ -85,14 +85,15 @@ class Condition {
   /// simplified (constants, plain leaves, or results of these
   /// constructors). simplified_and(cs) == make_and(cs).simplify(), and so
   /// on, without building the unsimplified node first. The children are
-  /// moved from; only a result that keeps two or more of them allocates.
-  [[nodiscard]] static Condition simplified_and(std::span<Condition> c) {
+  /// moved from (the caller's vector keeps its capacity, so scratch can be
+  /// reused); only a result that keeps two or more of them allocates.
+  [[nodiscard]] static Condition simplified_and(std::vector<Condition>&& c) {
     return fold(Kind::And, c);
   }
-  [[nodiscard]] static Condition simplified_or(std::span<Condition> c) {
+  [[nodiscard]] static Condition simplified_or(std::vector<Condition>&& c) {
     return fold(Kind::Or, c);
   }
-  [[nodiscard]] static Condition simplified_pool(std::span<Condition> c) {
+  [[nodiscard]] static Condition simplified_pool(std::vector<Condition>&& c) {
     return fold(Kind::Pool, c);
   }
 
@@ -186,9 +187,10 @@ std::ostream& operator<<(std::ostream& os, const Condition& condition);
 /// combine_conditions(q, cs).truth(a) == q.combine([c.truth(a) for c in cs]).
 /// When every per-predicate condition is simplified, so is the result: it
 /// equals the unsimplified AND/OR tree of the same shape, simplify()d.
-/// Moves from `per_pred`.
+/// Moves from the elements of `per_pred`; the vector itself keeps its size
+/// and capacity, so a caller can refill it as scratch.
 [[nodiscard]] Condition combine_conditions(const GlobalQuery& query,
-                                           std::span<Condition> per_pred);
+                                           std::vector<Condition>&& per_pred);
 
 /// Stable signature of a predicate atom for certificate-cache keying: an
 /// FNV-1a hash of the predicate's canonical print (`path op literal`), which

@@ -305,7 +305,8 @@ TEST(Condition, CombineConditionsMatchesQueryCombine) {
   std::vector<Condition> per_pred;
   for (std::size_t p = 0; p < 4; ++p)
     per_pred.push_back(Condition::leaf(CondAtom{keys[p].first, p, 1, false}));
-  const Condition combined = combine_conditions(query, per_pred);
+  const Condition combined =
+      combine_conditions(query, std::vector<Condition>(per_pred));
 
   for (const Condition::Assignment& a : all_assignments(keys)) {
     std::vector<Truth> truths;
